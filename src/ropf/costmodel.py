@@ -4,13 +4,17 @@ A generator asked for reactive output q must back its active output away
 from full apparent capability; its price is the lost-profit opportunity
 cost. A compensator is paid a flat depreciation rate per MVArh. All costs
 are $/h; reactive quantities are per-unit, converted with the case MVA base
-where a rate is quoted per MVArh.
+where a rate is quoted per MVArh. The cost functions take one output or an
+array of outputs (one per swarm member) and apply the same arithmetic
+elementwise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .netmodel import Compensator, Generator, NetworkCase
 
@@ -26,7 +30,7 @@ __all__ = [
 HOURS_PER_YEAR = 365 * 24
 
 
-def generator_opportunity_cost(gen: Generator, q: float) -> float:
+def generator_opportunity_cost(gen: Generator, q: float | np.ndarray) -> float | np.ndarray:
     """Opportunity cost, $/h, of holding reactive output q on a machine.
 
     The machine could sell active power up to s_max; producing q caps the
@@ -34,15 +38,17 @@ def generator_opportunity_cost(gen: Generator, q: float) -> float:
     between those outputs scaled by the profit rate. Even in q, zero at
     q = 0, increasing in |q|.
     """
-    if abs(q) > gen.s_max + 1e-12:
-        raise ValueError(f"|q| = {abs(q)} exceeds apparent capability {gen.s_max}")
-    p_capped = math.sqrt(max(gen.s_max * gen.s_max - q * q, 0.0))
+    if np.any(np.abs(q) > gen.s_max + 1e-12):
+        raise ValueError(f"|q| = {np.max(np.abs(q))} exceeds apparent capability {gen.s_max}")
+    p_capped = np.sqrt(np.maximum(gen.s_max * gen.s_max - q * q, 0.0))
     return (gen.cost(gen.s_max) - gen.cost(p_capped)) * gen.profit_rate
 
 
-def compensator_cost(comp: Compensator, q: float, base_mva: float) -> float:
+def compensator_cost(
+    comp: Compensator, q: float | np.ndarray, base_mva: float
+) -> float | np.ndarray:
     """Payment to a compensator, $/h: rate ($/MVArh) times MVAr supplied."""
-    if q < comp.q_min - 1e-12 or q > comp.q_max + 1e-12:
+    if np.any((q < comp.q_min - 1e-12) | (q > comp.q_max + 1e-12)):
         raise ValueError(
             f"compensator at bus {comp.bus}: q = {q} outside [{comp.q_min}, {comp.q_max}]"
         )
@@ -72,23 +78,25 @@ def dispatchable_generators(case: NetworkCase) -> tuple[Generator, ...]:
 
 @dataclass(frozen=True)
 class ReactiveCostBreakdown:
-    """Per-source reactive support costs, $/h. total is their exact sum."""
+    """Per-source reactive support costs, $/h. total is their sum, taken
+    left to right in source order (arrays when the outputs are arrays)."""
 
-    generator_costs: tuple[float, ...]
-    compensator_costs: tuple[float, ...]
-    total: float
+    generator_costs: tuple[float | np.ndarray, ...]
+    compensator_costs: tuple[float | np.ndarray, ...]
+    total: float | np.ndarray
 
 
 def total_reactive_cost(
     case: NetworkCase,
-    q_generators: tuple[float, ...] | list[float],
-    q_compensators: tuple[float, ...] | list[float],
+    q_generators: Sequence[float | np.ndarray],
+    q_compensators: Sequence[float | np.ndarray],
 ) -> ReactiveCostBreakdown:
     """Objective value of a reactive dispatch: sum of all source costs.
 
     q_generators pairs with the non-slack generators in case order,
     q_compensators with the compensators in case order. Each output must
-    lie within its source limits.
+    lie within its source limits. Each output may be an array of
+    outputs, one per swarm member, all of one shape.
     """
     gens = dispatchable_generators(case)
     if len(q_generators) != len(gens):
@@ -99,7 +107,7 @@ def total_reactive_cost(
         )
     gen_costs = []
     for gen, q in zip(gens, q_generators):
-        if q < gen.q_min - 1e-12 or q > gen.q_max + 1e-12:
+        if np.any((q < gen.q_min - 1e-12) | (q > gen.q_max + 1e-12)):
             raise ValueError(
                 f"generator at bus {gen.bus}: q = {q} outside [{gen.q_min}, {gen.q_max}]"
             )
@@ -112,5 +120,5 @@ def total_reactive_cost(
     return ReactiveCostBreakdown(
         generator_costs=tuple(gen_costs),
         compensator_costs=tuple(comp_costs),
-        total=float(sum(parts)),
+        total=sum(parts, 0.0),
     )

@@ -4,6 +4,11 @@ Builds the optimization problem (decision vector of reactive outputs, box
 limits from the sources, penalty-shaped fitness over the AC power flow),
 runs the swarm, and settles payments. The decision vector orders the
 non-slack generators first, then the compensators, both in case order.
+
+A run compiles its case once (`compile_problem`) and scores the whole
+swarm at once (`swarm_fitness`: decisions (S, D) to S values) through one
+stacked power flow. `evaluate_fitness` is the same computation on a stack
+of one.
 """
 
 from __future__ import annotations
@@ -22,18 +27,21 @@ from .powerflow import (
     PowerFlowSolution,
     SolverOptions,
     solve_power_flow,
+    solve_stack,
 )
 from .pso import PsoParams
 
 __all__ = [
     "DecisionVector",
     "DispatchError",
+    "DispatchProblem",
     "Payments",
     "PenaltyConfig",
     "RopfReport",
     "allocate_payments",
     "baseline_loss",
     "build_injections",
+    "compile_problem",
     "decision_bounds",
     "duty_cost",
     "evaluate_fitness",
@@ -41,6 +49,7 @@ __all__ = [
     "render_text",
     "run_pricing",
     "run_ropf",
+    "swarm_fitness",
     "unity_power_factor_case",
     "voltage_penalty",
 ]
@@ -133,6 +142,23 @@ def decision_bounds(case: NetworkCase) -> list[tuple[float, float]]:
     return [(g.q_min, g.q_max) for g in gens] + [(c.q_min, c.q_max) for c in case.compensators]
 
 
+def _source_positions(case: NetworkCase) -> np.ndarray:
+    """Bus position of each decision entry, source order; -1 for a
+    compensator at the slack bus, whose output the slack balance absorbs."""
+    slack_id = case.slack_bus().id
+    gens = [case.index_of(g.bus) for g in dispatchable_generators(case)]
+    comps = [-1 if c.bus == slack_id else case.index_of(c.bus) for c in case.compensators]
+    return np.array(gens + comps, dtype=int)
+
+
+def _add_source_outputs(q: np.ndarray, positions: np.ndarray, values: np.ndarray) -> None:
+    """Add decision values (D,) or (S, D) to bus injections (n,) or (S, n),
+    one source at a time in source order, skipping positions of -1."""
+    for k, value in zip(positions, values.T):
+        if k >= 0:
+            q[..., k] += value
+
+
 def build_injections(
     case: NetworkCase,
     decision: DecisionVector | None = None,
@@ -160,38 +186,103 @@ def build_injections(
         q[k] -= load.q
 
     gens = dispatchable_generators(case)
-    if decision is None:
-        q_gen = (0.0,) * len(gens)
-        q_comp = (0.0,) * len(case.compensators)
-    else:
-        q_gen = decision.q_generators
-        q_comp = decision.q_compensators
-        if len(q_gen) != len(gens) or len(q_comp) != len(case.compensators):
-            raise ValueError("decision vector does not match the case sources")
-
-    for gen, q_out in zip(gens, q_gen):
+    for gen in gens:
         k = case.index_of(gen.bus)
         p[k] += gen.p_output
         if generators_pv:
             roles[k] = int(BusRole.PV)
             v_set[k] = 1.0
-        else:
-            q[k] += q_out
-    for comp, q_out in zip(case.compensators, q_comp):
-        if comp.bus == case.slack_bus().id:
-            continue
-        q[case.index_of(comp.bus)] += q_out
+
+    if decision is not None:
+        if len(decision.q_generators) != len(gens) or len(decision.q_compensators) != len(
+            case.compensators
+        ):
+            raise ValueError("decision vector does not match the case sources")
+        positions = _source_positions(case)
+        if generators_pv:
+            positions[: len(gens)] = -1
+        _add_source_outputs(q, positions, decision.as_array())
 
     return InjectionSpec(p=p, q=q, roles=roles, v_setpoint=v_set)
+
+
+def _band_violation(v: np.ndarray, v_min: np.ndarray, v_max: np.ndarray) -> np.ndarray:
+    """Quadratic band violation of voltages (..., n), summed over buses."""
+    over = np.maximum(0.0, v - v_max)
+    under = np.maximum(0.0, v_min - v)
+    return np.sum(over * over + under * under, axis=-1)
 
 
 def voltage_penalty(solution: PowerFlowSolution, case: NetworkCase) -> float:
     """Unweighted quadratic violation of the per-bus voltage bands."""
     v_min = np.array([b.v_min for b in case.buses])
     v_max = np.array([b.v_max for b in case.buses])
-    over = np.maximum(0.0, solution.v - v_max)
-    under = np.maximum(0.0, v_min - solution.v)
-    return float(np.sum(over * over + under * under))
+    return float(_band_violation(solution.v, v_min, v_max))
+
+
+@dataclass(frozen=True, eq=False)
+class DispatchProblem:
+    """A case compiled once for fitness evaluation.
+
+    base holds the injections with every source at zero output (loads and
+    scheduled active generation); positions maps each decision entry to
+    its bus (-1: left to the slack balance). Build it with compile_problem.
+    """
+
+    case: NetworkCase
+    ybus: AdmittanceMatrix
+    base: InjectionSpec
+    positions: np.ndarray
+    n_generators: int
+    v_min: np.ndarray
+    v_max: np.ndarray
+    penalties: PenaltyConfig
+    options: SolverOptions
+
+
+def compile_problem(
+    case: NetworkCase,
+    penalties: PenaltyConfig | None = None,
+    options: SolverOptions | None = None,
+    ybus: AdmittanceMatrix | None = None,
+) -> DispatchProblem:
+    """Everything the fitness needs from a case, as arrays built once."""
+    return DispatchProblem(
+        case=case,
+        ybus=build_admittance(case) if ybus is None else ybus,
+        base=build_injections(case),
+        positions=_source_positions(case),
+        n_generators=len(dispatchable_generators(case)),
+        v_min=np.array([b.v_min for b in case.buses]),
+        v_max=np.array([b.v_max for b in case.buses]),
+        penalties=penalties or PenaltyConfig(),
+        options=options or SolverOptions(),
+    )
+
+
+def swarm_fitness(problem: DispatchProblem, decisions: np.ndarray) -> np.ndarray:
+    """Objective cost plus exterior penalties of each row of an (S, D)
+    array of decisions, source order; returns S values.
+
+    Each row is scored as if alone, so a stack gives the values its
+    members would give one by one.
+    """
+    x = np.asarray(decisions, dtype=float)
+    if x.ndim != 2 or x.shape[1] != problem.positions.size:
+        raise ValueError(
+            f"expected an (S, {problem.positions.size}) array of decisions, got shape {x.shape}"
+        )
+    split = problem.n_generators
+    costs = total_reactive_cost(problem.case, list(x[:, :split].T), list(x[:, split:].T))
+    base = problem.base
+    q = np.repeat(base.q[None, :], len(x), axis=0)
+    _add_source_outputs(q, problem.positions, x)
+    spec = InjectionSpec(np.broadcast_to(base.p, q.shape), q, base.roles, base.v_setpoint)
+    flows = solve_stack(spec, problem.ybus, problem.options)
+    pen = problem.penalties
+    value = costs.total + pen.voltage_weight * _band_violation(flows.v, problem.v_min, problem.v_max)
+    value[~flows.converged] += pen.nonconvergence_penalty
+    return value
 
 
 def evaluate_fitness(
@@ -201,17 +292,12 @@ def evaluate_fitness(
     options: SolverOptions | None = None,
     ybus: AdmittanceMatrix | None = None,
 ) -> float:
-    """Objective cost plus exterior penalties at one decision.
-
-    Pure in its inputs, so swarm evaluations can run in any order.
-    """
-    pen = penalties or PenaltyConfig()
-    costs = total_reactive_cost(case, decision.q_generators, decision.q_compensators)
-    solution = solve_power_flow(case, build_injections(case, decision), options, ybus)
-    value = costs.total + pen.voltage_weight * voltage_penalty(solution, case)
-    if not solution.converged:
-        value += pen.nonconvergence_penalty
-    return value
+    """Objective cost plus exterior penalties at one decision: swarm_fitness
+    on a stack of one."""
+    if len(decision.q_generators) != len(dispatchable_generators(case)):
+        raise ValueError("decision vector does not match the case sources")
+    problem = compile_problem(case, penalties, options, ybus)
+    return float(swarm_fitness(problem, decision.as_array()[None, :])[0])
 
 
 def baseline_loss(
@@ -245,7 +331,8 @@ def run_ropf(
     params = params or PsoParams()
     pen = penalties or PenaltyConfig()
     opts = options or SolverOptions()
-    ybus = build_admittance(case)
+    problem = compile_problem(case, pen, opts)
+    ybus = problem.ybus
 
     _, loss_before = baseline_loss(case, opts, ybus)
 
@@ -254,27 +341,25 @@ def run_ropf(
     buses = tuple(g.bus for g in gens) + tuple(c.bus for c in case.compensators)
     bounds = decision_bounds(case)
     free = [k for k, (lo, hi) in enumerate(bounds) if lo < hi]
-    pinned = {k: bounds[k][0] for k in range(len(bounds)) if k not in free}
+    held = np.array([lo for lo, _ in bounds])  # the pinned dimensions keep these
 
-    def assemble(x: np.ndarray) -> DecisionVector:
-        full = np.empty(len(bounds))
-        for k, value in pinned.items():
-            full[k] = value
-        full[free] = x
-        return DecisionVector.from_array(case, full)
-
-    def fitness(x: np.ndarray) -> float:
-        return evaluate_fitness(case, assemble(x), pen, opts, ybus)
+    def assemble(x: np.ndarray) -> np.ndarray:
+        full = np.repeat(held[None, :], len(x), axis=0)
+        full[:, free] = x
+        return full
 
     if free:
-        result = pso.optimize(fitness, [bounds[k] for k in free], params)
-        decision = assemble(result.position)
+        result = pso.optimize(
+            lambda x: swarm_fitness(problem, assemble(x)), [bounds[k] for k in free], params
+        )
+        position = result.position
         gbest = result.fitness
         history = result.history
     else:
-        decision = assemble(np.empty(0))
-        gbest = evaluate_fitness(case, decision, pen, opts, ybus)
+        position = np.empty(0)
+        gbest = float(swarm_fitness(problem, assemble(position[None, :]))[0])
         history = (gbest,)
+    decision = DecisionVector.from_array(case, assemble(position[None, :])[0])
 
     solution = solve_power_flow(case, build_injections(case, decision), opts, ybus)
     costs = total_reactive_cost(case, decision.q_generators, decision.q_compensators)

@@ -11,12 +11,20 @@ Mismatch is specified minus computed. The slack bus contributes no residual
 (it absorbs the balance), PV buses contribute only an active residual.
 Non-convergence is reported through the converged flag, never an exception,
 so an optimizer can penalize it.
+
+One Newton loop (`solve_stack`) solves a stack of S injection sets that
+share a network, its admittance matrix and the bus roles, each member with
+its own convergence and failure mask; `solve_power_flow` is that loop run
+on a stack of one. Every member's arithmetic is the one a lone solve does
+(stacked matrix products, one LAPACK solve per member), so a member's
+result does not depend on the rest of its stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,13 +32,14 @@ from .netmodel import AdmittanceMatrix, NetworkCase, build_admittance
 
 __all__ = [
     "BusRole",
-    "BusState",
     "InjectionSpec",
     "PowerFlowSolution",
     "SolverOptions",
+    "StackSolution",
     "compute_mismatch",
     "mismatch_jacobian",
     "solve_power_flow",
+    "solve_stack",
     "total_losses",
 ]
 
@@ -41,22 +50,15 @@ class BusRole(IntEnum):
     PV = 2
 
 
-@dataclass(frozen=True)
-class BusState:
-    """Voltage magnitude (per-unit) and angle (radians) at one bus."""
-
-    v: float
-    delta: float
-
-
 @dataclass(frozen=True, eq=False)
 class InjectionSpec:
     """Specified net injections and bus roles, index-aligned with a case.
 
-    p and q are per-unit net injections. The slack entry of both and the
-    q entry of PV buses are ignored; those quantities are outcomes, not
-    inputs. v_setpoint holds the magnitude targets for the slack and PV
-    buses (entries elsewhere are ignored).
+    p and q are per-unit net injections, shape (n,) for one injection set
+    or (S, n) for a stack of S sets sharing roles and setpoints. The slack
+    entry of both and the q entry of PV buses are ignored; those quantities
+    are outcomes, not inputs. v_setpoint holds the magnitude targets for
+    the slack and PV buses (entries elsewhere are ignored).
     """
 
     p: np.ndarray
@@ -69,7 +71,9 @@ class InjectionSpec:
         q = np.asarray(self.q, dtype=float)
         roles = np.asarray(self.roles, dtype=int)
         v_set = np.asarray(self.v_setpoint, dtype=float)
-        if not (p.shape == q.shape == roles.shape == v_set.shape):
+        if not (
+            p.shape == q.shape and p.ndim in (1, 2) and p.shape[-1:] == roles.shape == v_set.shape
+        ):
             raise ValueError("injection arrays must share one shape per bus")
         if int(np.sum(roles == BusRole.SLACK)) != 1:
             raise ValueError("exactly one slack bus required")
@@ -113,9 +117,36 @@ class PowerFlowSolution:
     q_slack: float
     total_loss: float
 
-    @property
-    def states(self) -> tuple[BusState, ...]:
-        return tuple(BusState(float(v), float(d)) for v, d in zip(self.v, self.delta))
+
+class StackSolution(NamedTuple):
+    """Final (or last attempted) states of a stacked solve, one row per member."""
+
+    v: np.ndarray
+    delta: np.ndarray
+    iterations: np.ndarray
+    max_mismatch: np.ndarray
+    converged: np.ndarray
+
+
+def _matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """matrix @ x for x of shape (..., n), one matrix-vector product per row
+    (a stacked matmul equals its per-row products bit for bit; x @ matrix.T
+    does not)."""
+    return (matrix @ x[..., None])[..., 0]
+
+
+def _diag(x: np.ndarray) -> np.ndarray:
+    """Diagonal matrices (..., n, n) from vectors (..., n)."""
+    n = x.shape[-1]
+    out = np.zeros(x.shape + (n,), dtype=x.dtype)
+    idx = np.arange(n)
+    out[..., idx, idx] = x
+    return out
+
+
+def _injections(volt: np.ndarray, ybus: AdmittanceMatrix) -> np.ndarray:
+    """Complex power injections S = V * conj(Y @ V) of voltages (..., n)."""
+    return volt * np.conj(_matvec(ybus.matrix, volt))
 
 
 def compute_mismatch(
@@ -126,12 +157,13 @@ def compute_mismatch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-bus residuals (specified minus computed) at a voltage state.
 
-    Returns full arrays for inspection; the entries that are not solver
-    constraints (slack rows, PV reactive rows) are included at face value
-    of spec.p / spec.q and must be masked by the caller.
+    v and delta are (n,) or a stack (S, n) matching spec.p. Returns full
+    arrays for inspection; the entries that are not solver constraints
+    (slack rows, PV reactive rows) are included at face value of
+    spec.p / spec.q and must be masked by the caller.
     """
     volt = np.asarray(v, float) * np.exp(1j * np.asarray(delta, float))
-    s_calc = volt * np.conj(ybus.matrix @ volt)
+    s_calc = _injections(volt, ybus)
     return spec.p - s_calc.real, spec.q - s_calc.imag
 
 
@@ -145,38 +177,44 @@ def mismatch_jacobian(
     """Jacobian of the computed injections w.r.t. angles (pvpq) and magnitudes (pq).
 
     Rows: d P[pvpq], d Q[pq]; columns: d delta[pvpq], d |V|[pq]. The solver
-    uses it as J dx = residual since residual = spec - computed.
+    uses it as J dx = residual since residual = spec - computed. Voltages
+    of shape (S, n) give a stack of S Jacobians.
     """
     volt = np.asarray(v, float) * np.exp(1j * np.asarray(delta, float))
     y = ybus.matrix
-    current = y @ volt
-    diag_v = np.diag(volt)
-    diag_i = np.diag(current)
-    diag_unit = np.diag(volt / np.abs(volt))
+    current = _matvec(y, volt)
+    diag_v = _diag(volt)
+    diag_i = _diag(current)
+    diag_unit = _diag(volt / np.abs(volt))
 
     ds_dangle = 1j * diag_v @ np.conj(diag_i - y @ diag_v)
     ds_dvm = diag_v @ np.conj(y @ diag_unit) + np.conj(diag_i) @ diag_unit
 
-    j11 = ds_dangle[np.ix_(pvpq, pvpq)].real
-    j12 = ds_dvm[np.ix_(pvpq, pq)].real
-    j21 = ds_dangle[np.ix_(pq, pvpq)].imag
-    j22 = ds_dvm[np.ix_(pq, pq)].imag
-    return np.block([[j11, j12], [j21, j22]])
+    k = pvpq.size
+    jac = np.empty(volt.shape[:-1] + (k + pq.size,) * 2)
+    jac[..., :k, :k] = ds_dangle[..., pvpq[:, None], pvpq].real
+    jac[..., :k, k:] = ds_dvm[..., pvpq[:, None], pq].real
+    jac[..., k:, :k] = ds_dangle[..., pq[:, None], pvpq].imag
+    jac[..., k:, k:] = ds_dvm[..., pq[:, None], pq].imag
+    return jac
 
 
-def _loss_both_ways(
-    volt: np.ndarray, case: NetworkCase, ybus: AdmittanceMatrix
-) -> tuple[float, float]:
-    """Active loss via summed net injections and via per-branch series I**2 R."""
-    injections = float(np.sum((volt * np.conj(ybus.matrix @ volt)).real))
-    by_branch = 0.0
-    for br in case.branches:
-        vf = volt[case.index_of(br.from_bus)]
-        vt = volt[case.index_of(br.to_bus)]
-        series = 1.0 / complex(br.resistance, br.reactance)
-        i_series = series * (vf / br.tap_ratio - vt)
-        by_branch += br.resistance * float(np.abs(i_series) ** 2)
-    return injections, by_branch
+def _newton_steps(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Solve each member's J dx = residual; a singular member gets a NaN step.
+
+    The stacked solve raises for the whole stack when one member is
+    singular, so it is then repeated member by member.
+    """
+    try:
+        return np.linalg.solve(jac, residual[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = np.full(residual.shape, np.nan)
+        for k in range(len(jac)):
+            try:
+                steps[k] = np.linalg.solve(jac[k], residual[k])
+            except np.linalg.LinAlgError:
+                pass
+        return steps
 
 
 def total_losses(solution: PowerFlowSolution, case: NetworkCase) -> float:
@@ -189,12 +227,92 @@ def total_losses(solution: PowerFlowSolution, case: NetworkCase) -> float:
     """
     ybus = build_admittance(case)
     volt = solution.v * np.exp(1j * solution.delta)
-    by_injection, by_branch = _loss_both_ways(volt, case, ybus)
+    by_injection = float(np.sum(_injections(volt, ybus).real))
+    branches = case.branches
+    from_idx = np.array([case.index_of(br.from_bus) for br in branches], dtype=int)
+    to_idx = np.array([case.index_of(br.to_bus) for br in branches], dtype=int)
+    r = np.array([br.resistance for br in branches], dtype=float)
+    x = np.array([br.reactance for br in branches], dtype=float)
+    tap = np.array([br.tap_ratio for br in branches], dtype=float)
+    i_series = (volt[from_idx] / tap - volt[to_idx]) / (r + 1j * x)
+    by_branch = float(np.sum(r * np.abs(i_series) ** 2))
     if abs(by_injection - by_branch) > 1e-8:
         raise AssertionError(
             f"loss cross-check failed: injections {by_injection!r} vs branches {by_branch!r}"
         )
     return by_injection
+
+
+def solve_stack(
+    spec: InjectionSpec,
+    ybus: AdmittanceMatrix,
+    options: SolverOptions | None = None,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
+) -> StackSolution:
+    """Solve the AC power flow of every injection set in a stack.
+
+    spec.p and spec.q are (S, n), or (n,) for a stack of one. Flat start
+    unless a (v, delta) pair is supplied, (n,) or (S, n). Voltage
+    magnitudes of the slack and PV buses are held at their setpoints; the
+    slack angle is zero. A member stops as converged when its residual
+    norm reaches the tolerance, and as not converged after max_iterations
+    steps, or when its Newton step is singular or non-finite or would leave
+    a non-finite or non-positive voltage magnitude; it then keeps its last
+    usable state. The other members are unaffected.
+    """
+    opts = options or SolverOptions()
+    roles = spec.roles
+    if ybus.n != roles.size:
+        raise ValueError("injection spec and admittance matrix sizes disagree")
+    pv = np.flatnonzero(roles == BusRole.PV)
+    pq = np.flatnonzero(roles == BusRole.PQ)
+    pvpq = np.concatenate([pv, pq])
+    slack = spec.slack_index
+
+    shape = np.atleast_2d(spec.p).shape
+    if start is not None and not opts.flat_start:
+        v = np.array(np.broadcast_to(start[0], shape), dtype=float)
+        delta = np.array(np.broadcast_to(start[1], shape), dtype=float)
+    else:
+        v = np.ones(shape)
+        delta = np.zeros(shape)
+    v[:, slack] = spec.v_setpoint[slack]
+    v[:, pv] = spec.v_setpoint[pv]
+    delta[:, slack] = 0.0
+
+    iterations = np.zeros(shape[0], dtype=int)
+    max_mismatch = np.full(shape[0], np.inf)
+    converged = np.zeros(shape[0], dtype=bool)
+    active = np.arange(shape[0])
+    active_spec = spec
+    while active.size:
+        if spec.p.ndim == 2 and len(active_spec.p) != active.size:
+            active_spec = InjectionSpec(spec.p[active], spec.q[active], roles, spec.v_setpoint)
+        v_now, delta_now = v[active], delta[active]
+        dp, dq = compute_mismatch(v_now, delta_now, active_spec, ybus)
+        residual = np.concatenate([dp[:, pvpq], dq[:, pq]], axis=1)
+        worst = np.max(np.abs(residual), axis=1, initial=0.0)
+        max_mismatch[active] = worst
+        done = worst <= opts.tolerance
+        converged[active[done]] = True
+        stepping = ~done & (iterations[active] < opts.max_iterations)
+        if not stepping.any():
+            break
+        active, v_now, delta_now = active[stepping], v_now[stepping], delta_now[stepping]
+        jac = mismatch_jacobian(v_now, delta_now, ybus, pvpq, pq)
+        dx = _newton_steps(jac, residual[stepping])
+        delta_now[:, pvpq] += dx[:, : pvpq.size]
+        v_now[:, pq] += dx[:, pvpq.size :]
+        usable = (
+            np.all(np.isfinite(dx), axis=1)
+            & np.all(np.isfinite(v_now), axis=1)
+            & np.all(v_now > 0, axis=1)
+        )
+        active = active[usable]
+        v[active] = v_now[usable]
+        delta[active] = delta_now[usable]
+        iterations[active] += 1
+    return StackSolution(v, delta, iterations, max_mismatch, converged)
 
 
 def solve_power_flow(
@@ -204,67 +322,23 @@ def solve_power_flow(
     ybus: AdmittanceMatrix | None = None,
     start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PowerFlowSolution:
-    """Solve the AC power flow for the given injections.
+    """Solve the AC power flow for one set of injections: `solve_stack` on
+    a stack of one, plus the injections and loss of the final state.
 
-    Flat start unless a (v, delta) pair is supplied. Voltage magnitudes of
-    the slack and PV buses are held at their setpoints; the slack angle is
-    zero. Returns converged=False (with the last usable state) when the
-    residual norm is still above tolerance after max_iterations, or when a
-    Newton step produces a singular system or an unusable voltage profile.
+    Returns converged=False (with the last usable state) when the residual
+    norm is still above tolerance after max_iterations, or when a Newton
+    step produces a singular system or an unusable voltage profile.
     """
-    opts = options or SolverOptions()
     if ybus is None:
         ybus = build_admittance(case)
     if ybus.n != case.n or len(spec.roles) != case.n:
         raise ValueError("case, injection spec and admittance matrix sizes disagree")
-
-    roles = spec.roles
-    pv = np.flatnonzero(roles == BusRole.PV)
-    pq = np.flatnonzero(roles == BusRole.PQ)
-    pvpq = np.concatenate([pv, pq])
+    if spec.p.ndim != 1:
+        raise ValueError("solve_power_flow takes one injection set; solve_stack takes a stack")
+    flows = solve_stack(spec, ybus, options, start)
+    v, delta = flows.v[0], flows.delta[0]
+    s_calc = _injections(v * np.exp(1j * delta), ybus)
     slack = spec.slack_index
-
-    if start is not None and not opts.flat_start:
-        v = np.array(start[0], dtype=float)
-        delta = np.array(start[1], dtype=float)
-    else:
-        v = np.ones(case.n)
-        delta = np.zeros(case.n)
-    v[slack] = spec.v_setpoint[slack]
-    v[pv] = spec.v_setpoint[pv]
-    delta[slack] = 0.0
-
-    converged = False
-    iterations = 0
-    max_mismatch = np.inf
-    while True:
-        dp, dq = compute_mismatch(v, delta, spec, ybus)
-        residual = np.concatenate([dp[pvpq], dq[pq]])
-        max_mismatch = float(np.max(np.abs(residual))) if residual.size else 0.0
-        if max_mismatch <= opts.tolerance:
-            converged = True
-            break
-        if iterations >= opts.max_iterations:
-            break
-        jac = mismatch_jacobian(v, delta, ybus, pvpq, pq)
-        try:
-            dx = np.linalg.solve(jac, residual)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(dx)):
-            break
-        v_next = v.copy()
-        delta_next = delta.copy()
-        delta_next[pvpq] += dx[: pvpq.size]
-        v_next[pq] += dx[pvpq.size :]
-        if not (np.all(np.isfinite(v_next)) and np.all(v_next > 0)):
-            break
-        v, delta = v_next, delta_next
-        iterations += 1
-
-    volt = v * np.exp(1j * delta)
-    s_calc = volt * np.conj(ybus.matrix @ volt)
-    loss, _ = _loss_both_ways(volt, case, ybus)
     v.flags.writeable = False
     delta.flags.writeable = False
     return PowerFlowSolution(
@@ -272,10 +346,10 @@ def solve_power_flow(
         delta=delta,
         p_injected=s_calc.real,
         q_injected=s_calc.imag,
-        iterations=iterations,
-        max_mismatch=max_mismatch,
-        converged=converged,
+        iterations=int(flows.iterations[0]),
+        max_mismatch=float(flows.max_mismatch[0]),
+        converged=bool(flows.converged[0]),
         p_slack=float(s_calc.real[slack]),
         q_slack=float(s_calc.imag[slack]),
-        total_loss=loss,
+        total_loss=float(np.sum(s_calc.real)),
     )

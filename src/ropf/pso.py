@@ -6,38 +6,41 @@ Velocity update per particle:
 
 with r1, r2 fresh uniform draws per dimension, velocities clamped to a
 fraction of each dimension's range, and positions clamped to the bounds
-(absorbing walls). Every particle owns a counter-based random stream spawned
-from the master seed, so results are identical no matter how fitness
-evaluations are scheduled; fitness functions must be pure. Personal and
-global bests only move on strict improvement, and the global reduction
-scans particles in index order, which keeps ties deterministic.
+(absorbing walls). The swarm's state is a set of (S, D) arrays, one row per
+particle, updated synchronously: every particle of an iteration pulls
+toward the global best as it stood when the iteration began.
+
+The fitness function scores the whole swarm at once: it takes the
+positions as an (S, D) array and returns S values, NaN counting as worst.
+It must be pure row by row, the value of a row depending on that row only.
+Every particle owns a counter-based random stream spawned from the master
+seed and draws r1, then r2, from it, so a seed reproduces its run bit for
+bit in one environment. Personal and global bests only move on strict
+improvement, and the global reduction takes the lowest particle index
+among equal values, which keeps ties deterministic.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Particle",
     "PsoParams",
     "PsoResult",
-    "Swarm",
     "clamp_velocity",
     "inertia_weight",
-    "initialize_swarm",
     "optimize",
-    "step",
     "update_velocity",
 ]
 
 logger = logging.getLogger(__name__)
 
-FitnessFn = Callable[[np.ndarray], float]
+SwarmFitness = Callable[[np.ndarray], np.ndarray]
 Bounds = Sequence[tuple[float, float]]
 
 
@@ -69,25 +72,6 @@ class PsoParams:
             raise ValueError(f"v_max_fraction must be in (0, 1], got {self.v_max_fraction}")
 
 
-@dataclass(eq=False)
-class Particle:
-    position: np.ndarray
-    velocity: np.ndarray
-    pbest_position: np.ndarray
-    pbest_fitness: float
-    fitness: float
-    rng: np.random.Generator = field(repr=False)
-
-
-@dataclass(eq=False)
-class Swarm:
-    particles: list[Particle]
-    gbest_position: np.ndarray
-    gbest_fitness: float
-    iteration: int
-    params: PsoParams
-
-
 class PsoResult(NamedTuple):
     position: np.ndarray
     fitness: float
@@ -112,9 +96,22 @@ def _check_bounds(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _evaluate(fitness: FitnessFn, position: np.ndarray) -> float:
-    value = float(fitness(position))
-    return math.inf if math.isnan(value) else value
+def _draw_pairs(rngs: list[np.random.Generator], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two (S, D) arrays of uniform draws; row i takes 2 * D consecutive
+    values of particle i's stream, the first D to the first array."""
+    draws = np.array([rng.uniform(size=2 * dim) for rng in rngs])
+    return draws[:, :dim], draws[:, dim:]
+
+
+def _evaluate(fitness: SwarmFitness, positions: np.ndarray) -> np.ndarray:
+    values = np.array(fitness(positions), dtype=float)
+    if values.shape != (len(positions),):
+        raise ValueError(
+            f"fitness must return one value per particle, shape ({len(positions)},); "
+            f"got {values.shape}"
+        )
+    values[np.isnan(values)] = math.inf
+    return values
 
 
 def inertia_weight(params: PsoParams, iteration: int) -> float:
@@ -126,18 +123,21 @@ def inertia_weight(params: PsoParams, iteration: int) -> float:
 
 
 def update_velocity(
-    particle: Particle,
+    velocity: np.ndarray,
+    position: np.ndarray,
+    pbest_position: np.ndarray,
     gbest_position: np.ndarray,
     w: float,
     params: PsoParams,
     rand1: float | np.ndarray,
     rand2: float | np.ndarray,
 ) -> np.ndarray:
-    """Inertia plus cognitive and social pulls; no clamping here."""
+    """Inertia plus cognitive and social pulls, for one particle (D,) or
+    the swarm (S, D); no clamping here."""
     return (
-        w * particle.velocity
-        + params.c1 * rand1 * (particle.pbest_position - particle.position)
-        + params.c2 * rand2 * (gbest_position - particle.position)
+        w * velocity
+        + params.c1 * rand1 * (pbest_position - position)
+        + params.c2 * rand2 * (gbest_position - position)
     )
 
 
@@ -145,85 +145,51 @@ def clamp_velocity(velocity: np.ndarray, v_max: np.ndarray) -> np.ndarray:
     return np.clip(velocity, -v_max, v_max)
 
 
-def initialize_swarm(bounds: Bounds, params: PsoParams, fitness: FitnessFn) -> Swarm:
-    """Uniform random positions in the box, velocities within the clamp.
+def optimize(fitness: SwarmFitness, bounds: Bounds, params: PsoParams) -> PsoResult:
+    """Run the full schedule; returns the best point, its fitness, and the
+    global-best trace (initial value plus one entry per iteration).
 
-    The same seed rebuilds a bit-identical swarm. If every initial fitness
-    is non-finite the swarm still starts (penalty-shaped objectives often
-    look like that early on); it is logged, not fatal.
+    Positions start uniform in the box and velocities within the clamp.
+    If every initial fitness is non-finite the swarm still starts
+    (penalty-shaped objectives often look like that early on); it is
+    logged, not fatal.
     """
     lower, upper = _check_bounds(bounds)
     v_max = params.v_max_fraction * (upper - lower)
-    particles: list[Particle] = []
-    gbest_position: np.ndarray | None = None
-    gbest_fitness = math.inf
-    for i in range(params.swarm_size):
-        rng = _particle_rng(params.seed, i)
-        position = lower + rng.uniform(size=lower.size) * (upper - lower)
-        velocity = -v_max + rng.uniform(size=lower.size) * (2.0 * v_max)
-        value = _evaluate(fitness, position)
-        particles.append(
-            Particle(
-                position=position,
-                velocity=velocity,
-                pbest_position=position.copy(),
-                pbest_fitness=value,
-                fitness=value,
-                rng=rng,
-            )
-        )
-        if value < gbest_fitness:
-            gbest_fitness = value
-            gbest_position = position.copy()
-    if gbest_position is None:
+    rngs = [_particle_rng(params.seed, i) for i in range(params.swarm_size)]
+    u_position, u_velocity = _draw_pairs(rngs, lower.size)
+    position = lower + u_position * (upper - lower)
+    velocity = -v_max + u_velocity * (2.0 * v_max)
+    pbest_position = position.copy()
+    pbest_fitness = _evaluate(fitness, position)
+
+    best = int(np.argmin(pbest_fitness))
+    if pbest_fitness[best] < math.inf:
+        gbest_fitness = float(pbest_fitness[best])
+        gbest_position = position[best].copy()
+    else:
         logger.warning("all %d initial fitness values are non-finite", params.swarm_size)
-        gbest_position = particles[0].position.copy()
-    return Swarm(
-        particles=particles,
-        gbest_position=gbest_position,
-        gbest_fitness=gbest_fitness,
-        iteration=0,
-        params=params,
-    )
+        gbest_fitness = math.inf
+        gbest_position = position[0].copy()
 
-
-def step(swarm: Swarm, fitness: FitnessFn, bounds: Bounds) -> Swarm:
-    """Advance the swarm one iteration in place and return it."""
-    lower, upper = _check_bounds(bounds)
-    params = swarm.params
-    v_max = params.v_max_fraction * (upper - lower)
-    w = inertia_weight(params, swarm.iteration)
-    gbest_position = swarm.gbest_position
-    for particle in swarm.particles:
-        rand1 = particle.rng.uniform(size=lower.size)
-        rand2 = particle.rng.uniform(size=lower.size)
+    history = [gbest_fitness]
+    for iteration in range(params.max_iterations):
+        w = inertia_weight(params, iteration)
+        rand1, rand2 = _draw_pairs(rngs, lower.size)
         velocity = clamp_velocity(
-            update_velocity(particle, gbest_position, w, params, rand1, rand2), v_max
+            update_velocity(
+                velocity, position, pbest_position, gbest_position, w, params, rand1, rand2
+            ),
+            v_max,
         )
-        particle.velocity = velocity
-        particle.position = np.clip(particle.position + velocity, lower, upper)
-        particle.fitness = _evaluate(fitness, particle.position)
-        if particle.fitness < particle.pbest_fitness:
-            particle.pbest_fitness = particle.fitness
-            particle.pbest_position = particle.position.copy()
-    for particle in swarm.particles:
-        if particle.pbest_fitness < swarm.gbest_fitness:
-            swarm.gbest_fitness = particle.pbest_fitness
-            swarm.gbest_position = particle.pbest_position.copy()
-    swarm.iteration += 1
-    return swarm
-
-
-def optimize(fitness: FitnessFn, bounds: Bounds, params: PsoParams) -> PsoResult:
-    """Run the full schedule; returns the best point, its fitness, and the
-    global-best trace (initial value plus one entry per iteration)."""
-    swarm = initialize_swarm(bounds, params, fitness)
-    history = [swarm.gbest_fitness]
-    for _ in range(params.max_iterations):
-        step(swarm, fitness, bounds)
-        history.append(swarm.gbest_fitness)
-    return PsoResult(
-        position=swarm.gbest_position.copy(),
-        fitness=swarm.gbest_fitness,
-        history=tuple(history),
-    )
+        position = np.clip(position + velocity, lower, upper)
+        value = _evaluate(fitness, position)
+        improved = value < pbest_fitness
+        pbest_fitness[improved] = value[improved]
+        pbest_position[improved] = position[improved]
+        best = int(np.argmin(pbest_fitness))
+        if pbest_fitness[best] < gbest_fitness:
+            gbest_fitness = float(pbest_fitness[best])
+            gbest_position = pbest_position[best].copy()
+        history.append(gbest_fitness)
+    return PsoResult(position=gbest_position, fitness=gbest_fitness, history=tuple(history))

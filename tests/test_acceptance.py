@@ -245,7 +245,7 @@ def test_payment_bookkeeping(settlement):
 
 def test_swarm_sanity_sphere():
     def sphere(x):
-        return float(np.sum(x * x))
+        return np.sum(x * x, axis=1)
 
     bounds = [(-5.0, 5.0)] * 3
     hits = 0

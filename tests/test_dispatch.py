@@ -25,8 +25,9 @@ from ropf.netmodel import (
     Generator,
     Load,
     NetworkCase,
+    build_admittance,
 )
-from ropf.powerflow import BusRole, PowerFlowSolution, solve_power_flow
+from ropf.powerflow import BusRole, InjectionSpec, PowerFlowSolution, solve_power_flow, solve_stack
 from ropf.pso import PsoParams
 from ropf.dispatch import (
     DecisionVector,
@@ -36,6 +37,7 @@ from ropf.dispatch import (
     allocate_payments,
     baseline_loss,
     build_injections,
+    compile_problem,
     decision_bounds,
     duty_cost,
     evaluate_fitness,
@@ -43,6 +45,7 @@ from ropf.dispatch import (
     report_to_dict,
     run_pricing,
     run_ropf,
+    swarm_fitness,
     unity_power_factor_case,
     voltage_penalty,
 )
@@ -174,6 +177,39 @@ def test_fitness_penalizes_nonconvergence():
     case = three_bus_case(p_load=80.0)
     fitness = evaluate_fitness(case, DecisionVector((0.0,), ()))
     assert fitness >= 1e6
+
+
+@pytest.mark.parametrize("unity", [False, True], ids=["bundled", "unity-power-factor"])
+def test_stack_equals_its_members(fixture_case, unity):
+    # 200 seeded points of the decision box; on both cases most of them do
+    # not converge, so both outcomes are stacked together
+    case = unity_power_factor_case(fixture_case) if unity else fixture_case
+    lower, upper = np.array(decision_bounds(case)).T
+    points = lower + np.random.default_rng(17).uniform(size=(200, lower.size)) * (upper - lower)
+    decisions = [DecisionVector.from_array(case, x) for x in points]
+
+    stacked = swarm_fitness(compile_problem(case), points)
+    alone = np.array([evaluate_fitness(case, d) for d in decisions])
+    assert np.array_equal(stacked, alone)
+
+    ybus = build_admittance(case)
+    specs = [build_injections(case, d) for d in decisions]
+    stack = InjectionSpec(
+        np.array([s.p for s in specs]), np.array([s.q for s in specs]), specs[0].roles, specs[0].v_setpoint
+    )
+    flows = solve_stack(stack, ybus)
+    assert 0 < np.count_nonzero(flows.converged) < len(points)
+    for k, spec in enumerate(specs):
+        solution = solve_power_flow(case, spec, ybus=ybus)
+        assert solution.converged == flows.converged[k]
+        assert solution.iterations == flows.iterations[k]
+        assert np.array_equal(solution.v, flows.v[k])
+        assert np.array_equal(solution.delta, flows.delta[k])
+
+
+def test_swarm_fitness_rejects_wrong_width(fixture_case):
+    with pytest.raises(ValueError, match=r"\(S, 4\)"):
+        swarm_fitness(compile_problem(fixture_case), np.zeros((3, 5)))
 
 
 def test_baseline_loss_zero_without_load():

@@ -27,6 +27,7 @@ from ropf.powerflow import (
     compute_mismatch,
     mismatch_jacobian,
     solve_power_flow,
+    solve_stack,
     total_losses,
 )
 
@@ -210,6 +211,43 @@ def test_max_iterations_zero_reports_nonconvergence():
     spec = make_spec([-0.5, 0.0], [0.0, 0.0], [PQ, SLACK])
     solution = solve_power_flow(case, spec, options=SolverOptions(max_iterations=0))
     assert not solution.converged
+
+
+def test_stack_member_failures_leave_the_others_bitwise():
+    # One stack on the lossless two-bus feeder, one member per outcome:
+    #   0: started at |V| = 0.5, angle 0, where the Jacobian is exactly singular
+    #   1: an ordinary load, which converges
+    #   2: far beyond the line's capability; its second step leaves |V| <= 0
+    #   3: an infinite injection, whose Newton step is non-finite
+    case = two_bus_case(reactance=0.1)
+    ybus = build_admittance(case)
+    loads = [0.5, 0.3, 100.0, math.inf]
+    start_v = np.array([[0.5, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+    start_delta = np.zeros((4, 2))
+    singular = mismatch_jacobian(start_v[0], start_delta[0], ybus, np.array([0]), np.array([0]))
+    assert singular[1].tolist() == [0.0, 0.0]
+    spec = make_spec([[-p, 0.0] for p in loads], np.zeros((4, 2)), [PQ, SLACK])
+    options = SolverOptions(flat_start=False)
+    with pytest.raises(ValueError, match="one injection set"):
+        solve_power_flow(case, spec, options, ybus)
+
+    flows = solve_stack(spec, ybus, options, start=(start_v, start_delta))
+    assert flows.converged.tolist() == [False, True, False, False]
+    assert flows.iterations.tolist()[0::3] == [0, 0]
+    assert np.array_equal(flows.v[0], start_v[0])
+    for k, p_load in enumerate(loads):
+        alone = solve_power_flow(
+            case,
+            make_spec([-p_load, 0.0], [0.0, 0.0], [PQ, SLACK]),
+            options,
+            ybus,
+            start=(start_v[k], start_delta[k]),
+        )
+        assert alone.converged == flows.converged[k]
+        assert alone.iterations == flows.iterations[k]
+        assert alone.max_mismatch == flows.max_mismatch[k]
+        assert np.array_equal(alone.v, flows.v[k])
+        assert np.array_equal(alone.delta, flows.delta[k])
 
 
 def random_connected_case(rng, n):

@@ -2,9 +2,11 @@
 
 The velocity rule is checked with hand arithmetic; swarm-level behavior is
 checked as invariants (bounds containment, velocity clamp, non-increasing
-global best, bit-identical reruns). Benchmark thresholds use the tail end
-of the inertia range (0.9 -> 0.4), which contracts reliably on smooth
-functions; the shipped defaults are exercised in the acceptance suite.
+global best, bit-identical reruns), observed through the positions the
+optimizer hands its swarm-wide fitness, (S, D) -> (S,). Benchmark
+thresholds use the tail end of the inertia range (0.9 -> 0.4), which
+contracts reliably on smooth functions; the shipped defaults are exercised
+in the acceptance suite.
 """
 
 from __future__ import annotations
@@ -15,14 +17,10 @@ import numpy as np
 import pytest
 
 from ropf.pso import (
-    Particle,
     PsoParams,
-    Swarm,
     clamp_velocity,
     inertia_weight,
-    initialize_swarm,
     optimize,
-    step,
     update_velocity,
 )
 
@@ -30,11 +28,23 @@ CONTRACTING = dict(w_start=0.9, w_end=0.4)
 
 
 def sphere(x):
-    return float(np.sum(x * x))
+    return np.sum(x * x, axis=1)
 
 
 def rosenbrock(x):
-    return float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
+    return (1 - x[:, 0]) ** 2 + 100 * (x[:, 1] - x[:, 0] ** 2) ** 2
+
+
+class Recorder:
+    """Swarm fitness that keeps a copy of every position array it scores."""
+
+    def __init__(self, fitness):
+        self.fitness = fitness
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append((x.copy(), self.fitness(x)))
+        return self.calls[-1][1]
 
 
 def test_params_validate():
@@ -61,34 +71,50 @@ def test_inertia_schedule_endpoints_and_midpoint():
 
 
 def test_velocity_update_hand_arithmetic():
-    particle = Particle(
-        position=np.array([1.0, 2.0]),
-        velocity=np.array([0.5, -0.5]),
-        pbest_position=np.array([0.0, 0.0]),
-        pbest_fitness=0.0,
-        fitness=1.0,
-        rng=np.random.default_rng(0),
-    )
     params = PsoParams(c1=2.0, c2=2.0)
-    v = update_velocity(particle, np.array([2.0, 2.0]), 0.5, params, 0.25, 0.5)
+    v = update_velocity(
+        velocity=np.array([[0.5, -0.5]]),
+        position=np.array([[1.0, 2.0]]),
+        pbest_position=np.array([[0.0, 0.0]]),
+        gbest_position=np.array([2.0, 2.0]),
+        w=0.5,
+        params=params,
+        rand1=0.25,
+        rand2=0.5,
+    )
     # 0.5*[0.5,-0.5] + 2*0.25*([0,0]-[1,2]) + 2*0.5*([2,2]-[1,2])
-    assert np.allclose(v, [0.75, -1.25], atol=1e-15)
+    assert np.allclose(v, [[0.75, -1.25]], atol=1e-15)
 
 
 def test_velocity_update_per_dimension_draws():
-    particle = Particle(
-        position=np.zeros(2),
-        velocity=np.zeros(2),
-        pbest_position=np.array([1.0, 1.0]),
-        pbest_fitness=0.0,
-        fitness=1.0,
-        rng=np.random.default_rng(0),
-    )
     params = PsoParams(c1=1.0, c2=0.0)
     v = update_velocity(
-        particle, np.zeros(2), 0.0, params, np.array([0.25, 0.75]), np.zeros(2)
+        velocity=np.zeros((1, 2)),
+        position=np.zeros((1, 2)),
+        pbest_position=np.array([[1.0, 1.0]]),
+        gbest_position=np.zeros(2),
+        w=0.0,
+        params=params,
+        rand1=np.array([[0.25, 0.75]]),
+        rand2=np.zeros((1, 2)),
     )
-    assert np.allclose(v, [0.25, 0.75], atol=1e-15)
+    assert np.allclose(v, [[0.25, 0.75]], atol=1e-15)
+
+
+def test_velocity_update_row_per_particle():
+    # two particles, one shared global best: each row follows its own pulls
+    params = PsoParams(c1=2.0, c2=2.0)
+    v = update_velocity(
+        velocity=np.array([[0.5, -0.5], [0.0, 0.0]]),
+        position=np.array([[1.0, 2.0], [2.0, 2.0]]),
+        pbest_position=np.array([[0.0, 0.0], [2.0, 2.0]]),
+        gbest_position=np.array([2.0, 2.0]),
+        w=0.5,
+        params=params,
+        rand1=np.array([[0.25, 0.25], [1.0, 1.0]]),
+        rand2=np.array([[0.5, 0.5], [1.0, 1.0]]),
+    )
+    assert np.allclose(v, [[0.75, -1.25], [0.0, 0.0]], atol=1e-15)
 
 
 def test_clamp_velocity():
@@ -107,9 +133,11 @@ def test_bounds_rejected_when_degenerate():
 
 def test_initial_gbest_is_min_over_particles():
     params = PsoParams(swarm_size=12, max_iterations=5, seed=7)
-    swarm = initialize_swarm([(-3.0, 3.0)] * 2, params, sphere)
-    best = min(p.pbest_fitness for p in swarm.particles)
-    assert swarm.gbest_fitness == best
+    recorder = Recorder(sphere)
+    result = optimize(recorder, [(-3.0, 3.0)] * 2, params)
+    first_positions, first_values = recorder.calls[0]
+    assert first_positions.shape == (12, 2)
+    assert result.history[0] == min(first_values)
 
 
 def test_positions_and_velocities_respect_limits_every_iteration():
@@ -118,13 +146,18 @@ def test_positions_and_velocities_respect_limits_every_iteration():
     lower = np.array([b[0] for b in bounds])
     upper = np.array([b[1] for b in bounds])
     v_max = params.v_max_fraction * (upper - lower)
-    swarm = initialize_swarm(bounds, params, sphere)
-    for _ in range(params.max_iterations):
-        step(swarm, sphere, bounds)
-        for particle in swarm.particles:
-            assert np.all(particle.position >= lower - 1e-12)
-            assert np.all(particle.position <= upper + 1e-12)
-            assert np.all(np.abs(particle.velocity) <= v_max + 1e-12)
+    recorder = Recorder(sphere)
+    optimize(recorder, bounds, params)
+    # one swarm-wide call for the start and one per iteration
+    assert len(recorder.calls) == params.max_iterations + 1
+    positions = [x for x, _ in recorder.calls]
+    for x in positions:
+        assert x.shape == (params.swarm_size, len(bounds))
+        assert np.all(x >= lower - 1e-12)
+        assert np.all(x <= upper + 1e-12)
+    # a move is the clamped velocity, cut short only by a wall
+    for before, after in zip(positions, positions[1:]):
+        assert np.all(np.abs(after - before) <= v_max + 1e-12)
 
 
 def test_gbest_history_non_increasing():
@@ -137,7 +170,7 @@ def test_history_length_and_final_value():
     result = optimize(sphere, [(-1.0, 1.0)] * 2, params)
     assert len(result.history) == params.max_iterations + 1
     assert result.history[-1] == result.fitness
-    assert sphere(result.position) == pytest.approx(result.fitness, rel=1e-12)
+    assert sphere(result.position[None, :])[0] == pytest.approx(result.fitness, rel=1e-12)
 
 
 def test_same_seed_reproduces_bitwise():
@@ -157,7 +190,7 @@ def test_different_seeds_explore_differently():
 
 def test_nan_fitness_treated_as_worst():
     def half_nan(x):
-        return float("nan") if x[0] < 0 else sphere(x)
+        return np.where(x[:, 0] < 0, np.nan, sphere(x))
 
     result = optimize(
         half_nan, [(-5.0, 5.0)] * 2, PsoParams(swarm_size=10, max_iterations=40, seed=4)
@@ -168,7 +201,9 @@ def test_nan_fitness_treated_as_worst():
 
 def test_all_nan_fitness_survives():
     result = optimize(
-        lambda x: float("nan"), [(-1.0, 1.0)], PsoParams(swarm_size=4, max_iterations=3, seed=1)
+        lambda x: np.full(len(x), np.nan),
+        [(-1.0, 1.0)],
+        PsoParams(swarm_size=4, max_iterations=3, seed=1),
     )
     assert math.isinf(result.fitness)
     assert len(result.history) == 4
@@ -183,7 +218,7 @@ def test_sphere_benchmark():
 
 def test_shifted_quadratic_benchmark():
     params = PsoParams(swarm_size=10, max_iterations=100, seed=1, **CONTRACTING)
-    result = optimize(lambda x: (x[0] - 0.3) ** 2, [(0.0, 1.0)], params)
+    result = optimize(lambda x: (x[:, 0] - 0.3) ** 2, [(0.0, 1.0)], params)
     assert abs(result.position[0] - 0.3) < 1e-6
 
 
@@ -196,5 +231,10 @@ def test_rosenbrock_benchmark():
 
 def test_optimum_on_boundary_is_reachable():
     params = PsoParams(swarm_size=15, max_iterations=120, seed=6, **CONTRACTING)
-    result = optimize(lambda x: -float(x[0]), [(0.0, 2.0)], params)
+    result = optimize(lambda x: -x[:, 0], [(0.0, 2.0)], params)
     assert result.position[0] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_fitness_must_return_one_value_per_particle():
+    with pytest.raises(ValueError, match="one value per particle"):
+        optimize(lambda x: np.sum(x), [(-1.0, 1.0)] * 2, PsoParams(swarm_size=4, max_iterations=2))
