@@ -14,7 +14,6 @@ from .dispatch import (
     RopfReport,
     allocate_payments,
     baseline_loss,
-    duty_cost,
     evaluate_fitness,
     run_pricing,
     run_ropf,
@@ -36,7 +35,6 @@ from .netmodel import (
 from .powerflow import (
     InjectionSpec,
     PowerFlowSolution,
-    SolverOptions,
     solve_power_flow,
     total_losses,
 )

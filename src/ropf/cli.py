@@ -10,20 +10,16 @@ across runs with the same arguments except for the timestamp field.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .dispatch import (
     DispatchError,
     PenaltyConfig,
     baseline_loss,
-    build_injections,
     render_text,
     report_to_dict,
     run_pricing,
@@ -32,43 +28,12 @@ from .dispatch import (
 from .netmodel import CaseError, NetworkCase, parse_case, validate_case
 from .pso import PsoParams
 
-__all__ = ["RunConfig", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_DATA = 2
 EXIT_NO_CONVERGENCE = 3
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run; embedded in every report."""
-
-    case_path: str
-    command: str
-    seed: int = 1
-    swarm_size: int = 30
-    iterations: int = 300
-    w_start: float = 1.2
-    w_end: float = 0.9
-    c1: float = 2.0
-    c2: float = 2.0
-    voltage_weight: float = 1e4
-    output_format: str = "text"
-
-    def pso_params(self) -> PsoParams:
-        return PsoParams(
-            swarm_size=self.swarm_size,
-            max_iterations=self.iterations,
-            w_start=self.w_start,
-            w_end=self.w_end,
-            c1=self.c1,
-            c2=self.c2,
-            seed=self.seed,
-        )
-
-    def penalties(self) -> PenaltyConfig:
-        return PenaltyConfig(voltage_weight=self.voltage_weight)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,6 +42,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reactive power dispatch and pricing over an AC power flow.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The search settings and their defaults, from the dataclasses that own
+    # them. Every command echoes them in its report's config, also the
+    # commands that take no search flags.
+    pso, penalties = PsoParams(), PenaltyConfig()
+    search = {
+        "seed": pso.seed,
+        "swarm_size": pso.swarm_size,
+        "iterations": pso.max_iterations,
+        "w_start": pso.w_start,
+        "w_end": pso.w_end,
+        "c1": pso.c1,
+        "c2": pso.c2,
+        "voltage_weight": penalties.voltage_weight,
+    }
+    parser.set_defaults(**search)
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("case_path", help="path to a case file")
@@ -87,14 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_search(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--swarm-size", type=int, default=30)
-        p.add_argument("--iterations", type=int, default=300)
-        p.add_argument("--w-start", type=float, default=1.2)
-        p.add_argument("--w-end", type=float, default=0.9)
-        p.add_argument("--c1", type=float, default=2.0)
-        p.add_argument("--c2", type=float, default=2.0)
-        p.add_argument("--voltage-weight", type=float, default=1e4)
+        for name, default in search.items():
+            p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
     add_common(sub.add_parser("validate", help="check a case file, list violations"))
     add_common(sub.add_parser("powerflow", help="solve the reference flow, print voltages"))
@@ -107,13 +81,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    values = {k: v for k, v in vars(args).items() if k in fields}
-    if args.command == "ropf" or args.command == "pricing":
-        values["iterations"] = args.iterations
-        values["swarm_size"] = args.swarm_size
-    return RunConfig(**values)
+def _search(args: argparse.Namespace) -> tuple[PsoParams, PenaltyConfig]:
+    params = PsoParams(
+        swarm_size=args.swarm_size,
+        max_iterations=args.iterations,
+        w_start=args.w_start,
+        w_end=args.w_end,
+        c1=args.c1,
+        c2=args.c2,
+        seed=args.seed,
+    )
+    return params, PenaltyConfig(voltage_weight=args.voltage_weight)
 
 
 def _load_case(path: str) -> NetworkCase:
@@ -121,10 +99,12 @@ def _load_case(path: str) -> NetworkCase:
     return parse_case(text)
 
 
-def _emit(config: RunConfig, body: dict, text: str) -> None:
-    if config.output_format == "machine-readable":
+def _emit(args: argparse.Namespace, body: dict, text: str) -> None:
+    """Print the report; the machine-readable form embeds every parsed
+    argument, which is everything that determines the run."""
+    if args.output_format == "machine-readable":
         doc = {
-            "config": dataclasses.asdict(config),
+            "config": vars(args),
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
         doc.update(body)
@@ -133,8 +113,8 @@ def _emit(config: RunConfig, body: dict, text: str) -> None:
         print(text, end="")
 
 
-def _cmd_validate(config: RunConfig) -> int:
-    text = Path(config.case_path).read_text(encoding="utf-8")
+def _cmd_validate(args: argparse.Namespace) -> int:
+    text = Path(args.case_path).read_text(encoding="utf-8")
     try:
         case = parse_case(text)
     except CaseError as exc:
@@ -145,12 +125,12 @@ def _cmd_validate(config: RunConfig) -> int:
     body = {"violations": violations}
     lines = [f"violation: {v}" for v in violations]
     lines.append(f"{len(violations)} violation(s)")
-    _emit(config, body, "\n".join(lines) + "\n")
+    _emit(args, body, "\n".join(lines) + "\n")
     return EXIT_VIOLATIONS if violations else OK
 
 
-def _cmd_powerflow(config: RunConfig) -> int:
-    case = _load_case(config.case_path)
+def _cmd_powerflow(args: argparse.Namespace) -> int:
+    case = _load_case(args.case_path)
     try:
         solution, loss = baseline_loss(case)
     except DispatchError as exc:
@@ -161,7 +141,7 @@ def _cmd_powerflow(config: RunConfig) -> int:
         "bus_voltages_pu": [float(x) for x in solution.v],
         "bus_angles_rad": [float(x) for x in solution.delta],
         "iterations": solution.iterations,
-        "total_loss_pu": solution.total_loss,
+        "total_loss_pu": loss,
         "slack_p_pu": solution.p_slack,
         "slack_q_pu": solution.q_slack,
     }
@@ -169,28 +149,27 @@ def _cmd_powerflow(config: RunConfig) -> int:
     for bus, v, d in zip(case.buses, solution.v, solution.delta):
         lines.append(f"{bus.id:>5}{v:>12.5f}{math.degrees(d):>14.4f}")
     lines.append(f"converged in {solution.iterations} iterations")
-    lines.append(f"total loss  {solution.total_loss:.6f} p.u.")
-    _emit(config, body, "\n".join(lines) + "\n")
+    lines.append(f"total loss  {loss:.6f} p.u.")
+    _emit(args, body, "\n".join(lines) + "\n")
     return OK
 
 
-def _cmd_ropf(config: RunConfig) -> int:
-    case = _load_case(config.case_path)
-    report = run_ropf(case, config.pso_params(), config.penalties())
-    _emit(config, report_to_dict(report), render_text(report))
+def _cmd_ropf(args: argparse.Namespace) -> int:
+    case = _load_case(args.case_path)
+    report = run_ropf(case, *_search(args))
+    _emit(args, report_to_dict(report), render_text(report))
     return OK if report.feasible else EXIT_NO_CONVERGENCE
 
 
-def _cmd_pricing(config: RunConfig) -> int:
-    case = _load_case(config.case_path)
-    report, payments = run_pricing(case, config.pso_params(), config.penalties())
-    _emit(config, report_to_dict(report, payments), render_text(report, payments))
+def _cmd_pricing(args: argparse.Namespace) -> int:
+    case = _load_case(args.case_path)
+    report, payments = run_pricing(case, *_search(args))
+    _emit(args, report_to_dict(report, payments), render_text(report, payments))
     return OK if report.feasible else EXIT_NO_CONVERGENCE
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
     handlers = {
         "validate": _cmd_validate,
         "powerflow": _cmd_powerflow,
@@ -198,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         "pricing": _cmd_pricing,
     }
     try:
-        return handlers[config.command](config)
+        return handlers[args.command](args)
     except FileNotFoundError as exc:
         print(f"error: cannot read case file {exc.filename!r}", file=sys.stderr)
         return EXIT_DATA

@@ -25,9 +25,9 @@ from .powerflow import (
     BusRole,
     InjectionSpec,
     PowerFlowSolution,
-    SolverOptions,
     solve_power_flow,
     solve_stack,
+    total_losses,
 )
 from .pso import PsoParams
 
@@ -43,7 +43,6 @@ __all__ = [
     "build_injections",
     "compile_problem",
     "decision_bounds",
-    "duty_cost",
     "evaluate_fitness",
     "report_to_dict",
     "render_text",
@@ -237,13 +236,11 @@ class DispatchProblem:
     v_min: np.ndarray
     v_max: np.ndarray
     penalties: PenaltyConfig
-    options: SolverOptions
 
 
 def compile_problem(
     case: NetworkCase,
     penalties: PenaltyConfig | None = None,
-    options: SolverOptions | None = None,
     ybus: AdmittanceMatrix | None = None,
 ) -> DispatchProblem:
     """Everything the fitness needs from a case, as arrays built once."""
@@ -256,7 +253,6 @@ def compile_problem(
         v_min=np.array([b.v_min for b in case.buses]),
         v_max=np.array([b.v_max for b in case.buses]),
         penalties=penalties or PenaltyConfig(),
-        options=options or SolverOptions(),
     )
 
 
@@ -278,7 +274,7 @@ def swarm_fitness(problem: DispatchProblem, decisions: np.ndarray) -> np.ndarray
     q = np.repeat(base.q[None, :], len(x), axis=0)
     _add_source_outputs(q, problem.positions, x)
     spec = InjectionSpec(np.broadcast_to(base.p, q.shape), q, base.roles, base.v_setpoint)
-    flows = solve_stack(spec, problem.ybus, problem.options)
+    flows = solve_stack(spec, problem.ybus)
     pen = problem.penalties
     value = costs.total + pen.voltage_weight * _band_violation(flows.v, problem.v_min, problem.v_max)
     value[~flows.converged] += pen.nonconvergence_penalty
@@ -289,38 +285,36 @@ def evaluate_fitness(
     case: NetworkCase,
     decision: DecisionVector,
     penalties: PenaltyConfig | None = None,
-    options: SolverOptions | None = None,
     ybus: AdmittanceMatrix | None = None,
 ) -> float:
     """Objective cost plus exterior penalties at one decision: swarm_fitness
     on a stack of one."""
     if len(decision.q_generators) != len(dispatchable_generators(case)):
         raise ValueError("decision vector does not match the case sources")
-    problem = compile_problem(case, penalties, options, ybus)
+    problem = compile_problem(case, penalties, ybus)
     return float(swarm_fitness(problem, decision.as_array()[None, :])[0])
 
 
 def baseline_loss(
     case: NetworkCase,
-    options: SolverOptions | None = None,
     ybus: AdmittanceMatrix | None = None,
 ) -> tuple[PowerFlowSolution, float]:
     """Reference flow before compensation: compensators off, generator buses
-    voltage-held at 1.0 p.u. Raises DispatchError if it does not converge."""
+    voltage-held at 1.0 p.u., and its cross-checked loss. Raises
+    DispatchError if it does not converge."""
     spec = build_injections(case, None, generators_pv=True)
-    solution = solve_power_flow(case, spec, options, ybus)
+    solution = solve_power_flow(case, spec, ybus)
     if not solution.converged:
         raise DispatchError(
             f"baseline power flow did not converge (residual {solution.max_mismatch:.3e})"
         )
-    return solution, solution.total_loss
+    return solution, total_losses(solution, case)
 
 
 def run_ropf(
     case: NetworkCase,
     params: PsoParams | None = None,
     penalties: PenaltyConfig | None = None,
-    options: SolverOptions | None = None,
 ) -> RopfReport:
     """Minimize the total reactive support cost subject to the power flow.
 
@@ -330,11 +324,10 @@ def run_ropf(
     """
     params = params or PsoParams()
     pen = penalties or PenaltyConfig()
-    opts = options or SolverOptions()
-    problem = compile_problem(case, pen, opts)
+    problem = compile_problem(case, pen)
     ybus = problem.ybus
 
-    _, loss_before = baseline_loss(case, opts, ybus)
+    _, loss_before = baseline_loss(case, ybus)
 
     gens = dispatchable_generators(case)
     kinds = ("generator",) * len(gens) + ("compensator",) * len(case.compensators)
@@ -361,7 +354,7 @@ def run_ropf(
         history = (gbest,)
     decision = DecisionVector.from_array(case, assemble(position[None, :])[0])
 
-    solution = solve_power_flow(case, build_injections(case, decision), opts, ybus)
+    solution = solve_power_flow(case, build_injections(case, decision), ybus)
     costs = total_reactive_cost(case, decision.q_generators, decision.q_compensators)
     residual_penalty = voltage_penalty(solution, case)
     feasible = solution.converged and residual_penalty == 0.0
@@ -379,9 +372,9 @@ def run_ropf(
             q_generators=decision.q_generators,
             q_compensators=(0.0,) * len(case.compensators),
         )
-        alt = solve_power_flow(case, build_injections(case, alt_decision), opts, ybus)
+        alt = solve_power_flow(case, build_injections(case, alt_decision), ybus)
         if alt.converged:
-            loss_before_alt = alt.total_loss
+            loss_before_alt = total_losses(alt, case)
 
     per_source = costs.generator_costs + costs.compensator_costs
     return RopfReport(
@@ -391,7 +384,7 @@ def run_ropf(
         cost_per_source=per_source,
         total_payment=float(sum(per_source)),
         loss_before=loss_before,
-        loss_after=solution.total_loss,
+        loss_after=total_losses(solution, case),
         loss_before_alt=loss_before_alt,
         feasible=feasible,
         converged=solution.converged,
@@ -409,21 +402,6 @@ def run_ropf(
 def unity_power_factor_case(case: NetworkCase) -> NetworkCase:
     """The same network with every load's reactive draw set to zero."""
     return replace(case, loads=tuple(replace(load, q=0.0) for load in case.loads))
-
-
-def duty_cost(
-    case: NetworkCase,
-    params: PsoParams | None = None,
-    penalties: PenaltyConfig | None = None,
-    options: SolverOptions | None = None,
-) -> float:
-    """Reactive cost the network itself demands: the optimal total cost when
-    all loads run at unity power factor. This part is owed by the
-    active-power sellers, not by the reactive loads."""
-    report = run_ropf(unity_power_factor_case(case), params, penalties, options)
-    if not report.feasible:
-        logger.warning("unity-power-factor run infeasible; duty cost is its best-found cost")
-    return report.total_payment
 
 
 def allocate_payments(report: RopfReport, duty: "RopfReport | float") -> Payments:
@@ -476,11 +454,14 @@ def run_pricing(
     case: NetworkCase,
     params: PsoParams | None = None,
     penalties: PenaltyConfig | None = None,
-    options: SolverOptions | None = None,
 ) -> tuple[RopfReport, Payments]:
-    """Full settlement: dispatch run, unity-power-factor run, allocation."""
-    report = run_ropf(case, params, penalties, options)
-    duty_report = run_ropf(unity_power_factor_case(case), params, penalties, options)
+    """Full settlement: dispatch run, unity-power-factor run, allocation.
+
+    The duty cost is the optimal total cost when all loads run at unity
+    power factor: the reactive cost the network itself demands, owed by
+    the active-power sellers, not by the reactive loads."""
+    report = run_ropf(case, params, penalties)
+    duty_report = run_ropf(unity_power_factor_case(case), params, penalties)
     payments = allocate_payments(report, duty_report)
     report = replace(
         report,

@@ -9,9 +9,10 @@ convert). Bus ids are arbitrary positive integers; matrix work uses the
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -427,12 +428,27 @@ def validate_case(case: NetworkCase) -> list[str]:
     """Check structural invariants; returns human-readable violations.
 
     An empty list means the case is usable for power-flow and dispatch work.
-    Checks: positive base, unique bus ids, exactly one slack, sane voltage
-    bands, branch endpoints that exist and differ, nonzero branch impedance,
-    positive taps, source limits ordered and within capability, referenced
-    buses present, and a connected network.
+    Checks: finite numbers throughout, positive base, unique bus ids,
+    exactly one slack, sane voltage bands, branch endpoints that exist and
+    differ, nonzero branch impedance, positive taps, source limits ordered
+    and within capability, referenced buses present, and a connected
+    network.
     """
     bad: list[str] = []
+    records = (
+        [("case", case)]
+        + [(f"bus {b.id}", b) for b in case.buses]
+        + [(f"branch {br.from_bus}-{br.to_bus}", br) for br in case.branches]
+        + [(f"generator at bus {g.bus}", g) for g in case.generators]
+        + [(f"generator at bus {g.bus} cost", g.cost) for g in case.generators]
+        + [(f"compensator at bus {c.bus}", c) for c in case.compensators]
+        + [(f"load at bus {ld.bus}", ld) for ld in case.loads]
+    )
+    for label, record in records:
+        for name, value in vars(record).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                bad.append(f"{label}: {name} must be finite, got {value}")
+
     if case.base_mva <= 0:
         bad.append(f"base MVA must be positive, got {case.base_mva}")
 

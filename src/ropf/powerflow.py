@@ -34,7 +34,6 @@ __all__ = [
     "BusRole",
     "InjectionSpec",
     "PowerFlowSolution",
-    "SolverOptions",
     "StackSolution",
     "compute_mismatch",
     "mismatch_jacobian",
@@ -42,6 +41,11 @@ __all__ = [
     "solve_stack",
     "total_losses",
 ]
+
+# A solve converges when its largest residual reaches TOLERANCE and gives
+# up after MAX_ITERATIONS Newton steps.
+TOLERANCE = 1e-6
+MAX_ITERATIONS = 50
 
 
 class BusRole(IntEnum):
@@ -87,13 +91,6 @@ class InjectionSpec:
     @property
     def slack_index(self) -> int:
         return int(np.flatnonzero(self.roles == BusRole.SLACK)[0])
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tolerance: float = 1e-6
-    max_iterations: int = 50
-    flat_start: bool = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,19 +149,21 @@ def _injections(volt: np.ndarray, ybus: AdmittanceMatrix) -> np.ndarray:
 def compute_mismatch(
     v: np.ndarray,
     delta: np.ndarray,
-    spec: InjectionSpec,
+    p: np.ndarray,
+    q: np.ndarray,
     ybus: AdmittanceMatrix,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-bus residuals (specified minus computed) at a voltage state.
 
-    v and delta are (n,) or a stack (S, n) matching spec.p. Returns full
-    arrays for inspection; the entries that are not solver constraints
-    (slack rows, PV reactive rows) are included at face value of
-    spec.p / spec.q and must be masked by the caller.
+    v and delta are (n,) or a stack (S, n) matching the specified net
+    injections p and q (an InjectionSpec's p and q, or rows of them).
+    Returns full arrays for inspection; the entries that are not solver
+    constraints (slack rows, PV reactive rows) are included at face value
+    of p / q and must be masked by the caller.
     """
     volt = np.asarray(v, float) * np.exp(1j * np.asarray(delta, float))
     s_calc = _injections(volt, ybus)
-    return spec.p - s_calc.real, spec.q - s_calc.imag
+    return p - s_calc.real, q - s_calc.imag
 
 
 def mismatch_jacobian(
@@ -246,21 +245,19 @@ def total_losses(solution: PowerFlowSolution, case: NetworkCase) -> float:
 def solve_stack(
     spec: InjectionSpec,
     ybus: AdmittanceMatrix,
-    options: SolverOptions | None = None,
     start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> StackSolution:
     """Solve the AC power flow of every injection set in a stack.
 
-    spec.p and spec.q are (S, n), or (n,) for a stack of one. Flat start
-    unless a (v, delta) pair is supplied, (n,) or (S, n). Voltage
-    magnitudes of the slack and PV buses are held at their setpoints; the
-    slack angle is zero. A member stops as converged when its residual
-    norm reaches the tolerance, and as not converged after max_iterations
-    steps, or when its Newton step is singular or non-finite or would leave
-    a non-finite or non-positive voltage magnitude; it then keeps its last
-    usable state. The other members are unaffected.
+    spec.p and spec.q are (S, n), or (n,) for a stack of one. Starts from
+    the supplied (v, delta) pair, (n,) or (S, n), or flat without one.
+    Voltage magnitudes of the slack and PV buses are held at their
+    setpoints; the slack angle is zero. A member stops as converged when
+    its residual norm reaches TOLERANCE, and as not converged after
+    MAX_ITERATIONS steps, or when its Newton step is singular or non-finite
+    or would leave a non-finite or non-positive voltage magnitude; it then
+    keeps its last usable state. The other members are unaffected.
     """
-    opts = options or SolverOptions()
     roles = spec.roles
     if ybus.n != roles.size:
         raise ValueError("injection spec and admittance matrix sizes disagree")
@@ -269,13 +266,14 @@ def solve_stack(
     pvpq = np.concatenate([pv, pq])
     slack = spec.slack_index
 
-    shape = np.atleast_2d(spec.p).shape
-    if start is not None and not opts.flat_start:
-        v = np.array(np.broadcast_to(start[0], shape), dtype=float)
-        delta = np.array(np.broadcast_to(start[1], shape), dtype=float)
-    else:
+    p, q = np.atleast_2d(spec.p), np.atleast_2d(spec.q)
+    shape = p.shape
+    if start is None:
         v = np.ones(shape)
         delta = np.zeros(shape)
+    else:
+        v = np.array(np.broadcast_to(start[0], shape), dtype=float)
+        delta = np.array(np.broadcast_to(start[1], shape), dtype=float)
     v[:, slack] = spec.v_setpoint[slack]
     v[:, pv] = spec.v_setpoint[pv]
     delta[:, slack] = 0.0
@@ -284,18 +282,15 @@ def solve_stack(
     max_mismatch = np.full(shape[0], np.inf)
     converged = np.zeros(shape[0], dtype=bool)
     active = np.arange(shape[0])
-    active_spec = spec
     while active.size:
-        if spec.p.ndim == 2 and len(active_spec.p) != active.size:
-            active_spec = InjectionSpec(spec.p[active], spec.q[active], roles, spec.v_setpoint)
         v_now, delta_now = v[active], delta[active]
-        dp, dq = compute_mismatch(v_now, delta_now, active_spec, ybus)
+        dp, dq = compute_mismatch(v_now, delta_now, p[active], q[active], ybus)
         residual = np.concatenate([dp[:, pvpq], dq[:, pq]], axis=1)
         worst = np.max(np.abs(residual), axis=1, initial=0.0)
         max_mismatch[active] = worst
-        done = worst <= opts.tolerance
+        done = worst <= TOLERANCE
         converged[active[done]] = True
-        stepping = ~done & (iterations[active] < opts.max_iterations)
+        stepping = ~done & (iterations[active] < MAX_ITERATIONS)
         if not stepping.any():
             break
         active, v_now, delta_now = active[stepping], v_now[stepping], delta_now[stepping]
@@ -318,7 +313,6 @@ def solve_stack(
 def solve_power_flow(
     case: NetworkCase,
     spec: InjectionSpec,
-    options: SolverOptions | None = None,
     ybus: AdmittanceMatrix | None = None,
     start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PowerFlowSolution:
@@ -326,7 +320,7 @@ def solve_power_flow(
     a stack of one, plus the injections and loss of the final state.
 
     Returns converged=False (with the last usable state) when the residual
-    norm is still above tolerance after max_iterations, or when a Newton
+    norm is still above TOLERANCE after MAX_ITERATIONS, or when a Newton
     step produces a singular system or an unusable voltage profile.
     """
     if ybus is None:
@@ -335,7 +329,7 @@ def solve_power_flow(
         raise ValueError("case, injection spec and admittance matrix sizes disagree")
     if spec.p.ndim != 1:
         raise ValueError("solve_power_flow takes one injection set; solve_stack takes a stack")
-    flows = solve_stack(spec, ybus, options, start)
+    flows = solve_stack(spec, ybus, start)
     v, delta = flows.v[0], flows.delta[0]
     s_calc = _injections(v * np.exp(1j * delta), ybus)
     slack = spec.slack_index

@@ -55,7 +55,7 @@ from ropf.dispatch import (
     voltage_penalty,
 )
 from ropf.netmodel import Compensator, CostQuadratic, Generator, NetworkCase
-from ropf.powerflow import compute_mismatch, solve_power_flow, total_losses
+from ropf.powerflow import solve_power_flow, total_losses
 from ropf.pso import PsoParams, optimize
 
 PUBLISHED = {

@@ -7,16 +7,29 @@ must be byte-identical across reruns except for the timestamp field.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import re
 
 import pytest
 
 from conftest import compensated_case
 from ropf.cli import build_parser, main
-from ropf.netmodel import serialize_case
+from ropf.netmodel import serialize_case, validate_case
 
 FAST = ["--swarm-size", "8", "--iterations", "10", "--seed", "3"]
+
+SEARCH_DEFAULTS = {
+    "seed": 1,
+    "swarm_size": 30,
+    "iterations": 300,
+    "w_start": 1.2,
+    "w_end": 0.9,
+    "c1": 2.0,
+    "c2": 2.0,
+    "voltage_weight": 10000.0,
+}
 
 
 def write_case(tmp_path, case, name="net.case"):
@@ -140,6 +153,61 @@ def test_search_flags_are_echoed_in_config(tmp_path, capsys):
     assert config["w_start"] == 1.1
     assert config["c2"] == 2.2
     assert config["voltage_weight"] == 5000.0
+
+
+@pytest.mark.parametrize("command", ["validate", "powerflow"])
+def test_config_echo_carries_search_defaults(command, fixture_path, capsys):
+    # Commands without search flags still echo all eleven settings, the
+    # search ones at their defaults; dumping again keeps ints and floats
+    # apart, so the echo is pinned as printed.
+    argv = [command, str(fixture_path), "--output-format", "machine-readable"]
+    assert main(argv) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    expected = {
+        "case_path": str(fixture_path),
+        "command": command,
+        "output_format": "machine-readable",
+        **SEARCH_DEFAULTS,
+    }
+    assert json.dumps(config, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def _spoil(case, section, name, value):
+    """The case with one numeric field of one record replaced: the first
+    record of the section (the first transformer for a tap)."""
+    if section == "case":
+        return dataclasses.replace(case, **{name: value})
+    records = list(getattr(case, section))
+    k = next(i for i, r in enumerate(records) if name != "tap_ratio" or r.is_transformer)
+    records[k] = dataclasses.replace(records[k], **{name: value})
+    return dataclasses.replace(case, **{section: tuple(records)})
+
+
+@pytest.mark.parametrize(
+    "section, name, value",
+    [
+        ("case", "base_mva", math.inf),
+        ("buses", "v_max", math.nan),
+        ("branches", "resistance", math.nan),
+        ("branches", "reactance", math.inf),
+        ("branches", "charging_susceptance", math.nan),
+        ("branches", "tap_ratio", math.nan),
+        ("generators", "p_output", math.nan),
+        ("generators", "q_max", math.inf),
+        ("compensators", "rate", math.inf),
+        ("loads", "p", math.inf),
+        ("loads", "q", math.nan),
+    ],
+)
+def test_non_finite_case_data_is_rejected(fixture_case, tmp_path, capsys, section, name, value):
+    case = _spoil(fixture_case, section, name, value)
+    assert any(f"{name} must be finite" in v for v in validate_case(case))
+    path = write_case(tmp_path, case)
+    assert main(["validate", path]) == 1
+    assert f"{name} must be finite" in capsys.readouterr().out
+    for command in ("powerflow", "ropf", "pricing"):
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_parser_defaults_match_documented_interface():

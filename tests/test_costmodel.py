@@ -29,7 +29,7 @@ from ropf.costmodel import (
     generator_opportunity_cost,
     total_reactive_cost,
 )
-from ropf.netmodel import Bus, Branch, Compensator, Generator, Load, NetworkCase
+from ropf.netmodel import Bus, Branch, Compensator, Generator, NetworkCase
 
 STUDY_GEN = Generator(1, 0.74, 0.9, -0.5, 0.4, QUADRATIC, 0.07)
 WIDE_COMP = Compensator(3, 0.0, 1.0, 0.0354)

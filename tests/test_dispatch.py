@@ -11,7 +11,6 @@ balance by the clipped amount, which the clipped-case test tracks exactly.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -19,11 +18,9 @@ import pytest
 from conftest import QUADRATIC, compensated_case, three_bus_case, two_bus_case
 from ropf.costmodel import total_reactive_cost
 from ropf.netmodel import (
-    Branch,
     Bus,
     Compensator,
     Generator,
-    Load,
     NetworkCase,
     build_admittance,
 )
@@ -39,7 +36,6 @@ from ropf.dispatch import (
     build_injections,
     compile_problem,
     decision_bounds,
-    duty_cost,
     evaluate_fitness,
     render_text,
     report_to_dict,
@@ -289,12 +285,10 @@ def test_unity_power_factor_strips_reactive_demand(fixture_case):
 
 
 def test_duty_cost_nonnegative_and_below_actual():
-    case = compensated_case()
-    cg = duty_cost(case, params=SMALL)
-    report = run_ropf(case, params=SMALL)
-    assert cg >= 0.0
+    report, _ = run_pricing(compensated_case(), params=SMALL)
+    assert report.duty_cost >= 0.0
     # removing reactive demand cannot make support dearer on this network
-    assert cg <= report.gbest_fitness + 1e-9
+    assert report.duty_cost <= report.gbest_fitness + 1e-9
 
 
 def test_allocate_payments_proportional_no_clipping():

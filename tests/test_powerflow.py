@@ -19,11 +19,13 @@ import numpy as np
 import pytest
 
 from conftest import two_bus_case
+from ropf.dispatch import DecisionVector, build_injections
 from ropf.netmodel import Branch, Bus, Load, NetworkCase, build_admittance
 from ropf.powerflow import (
+    MAX_ITERATIONS,
+    TOLERANCE,
     BusRole,
     InjectionSpec,
-    SolverOptions,
     compute_mismatch,
     mismatch_jacobian,
     solve_power_flow,
@@ -90,7 +92,7 @@ def test_mismatch_polar_formula_hand_values():
     ybus = build_admittance(case)
     spec = make_spec([0.0, 0.0], [0.0, 0.0], [PQ, SLACK])
     d1 = 0.1
-    dp, dq = compute_mismatch(np.array([1.0, 1.0]), np.array([d1, 0.0]), spec, ybus)
+    dp, dq = compute_mismatch(np.array([1.0, 1.0]), np.array([d1, 0.0]), spec.p, spec.q, ybus)
     p1_calc = -10.0 * math.sin(0.0 - d1)
     q1_calc = 10.0 - 10.0 * math.cos(0.0 - d1)
     assert dp[0] == pytest.approx(-p1_calc, abs=1e-12)
@@ -100,7 +102,7 @@ def test_mismatch_polar_formula_hand_values():
 def test_flat_state_zero_injection_is_exact():
     case = two_bus_case()
     spec = make_spec([0.0, 0.0], [0.0, 0.0], [PQ, SLACK])
-    dp, dq = compute_mismatch(np.ones(2), np.zeros(2), spec, build_admittance(case))
+    dp, dq = compute_mismatch(np.ones(2), np.zeros(2), spec.p, spec.q, build_admittance(case))
     assert np.allclose(dp, 0.0, atol=1e-15)
     assert np.allclose(dq, 0.0, atol=1e-15)
 
@@ -178,7 +180,7 @@ def test_residual_certificate_at_solution():
     spec = make_spec([-0.4, 0.0], [-0.05, 0.0], [PQ, SLACK])
     solution = solve_power_flow(case, spec)
     assert solution.converged
-    dp, dq = compute_mismatch(solution.v, solution.delta, spec, build_admittance(case))
+    dp, dq = compute_mismatch(solution.v, solution.delta, spec.p, spec.q, build_admittance(case))
     assert abs(dp[0]) <= 1e-6
     assert abs(dq[0]) <= 1e-6
     assert solution.max_mismatch <= 1e-6
@@ -188,12 +190,7 @@ def test_warm_start_skips_iterations():
     case = two_bus_case(0.1, 0.01, 0.4, 0.05)
     spec = make_spec([-0.4, 0.0], [-0.05, 0.0], [PQ, SLACK])
     first = solve_power_flow(case, spec)
-    again = solve_power_flow(
-        case,
-        spec,
-        options=SolverOptions(flat_start=False),
-        start=(first.v, first.delta),
-    )
+    again = solve_power_flow(case, spec, start=(first.v, first.delta))
     assert again.converged
     assert again.iterations == 0
 
@@ -206,11 +203,15 @@ def test_infeasible_load_reports_nonconvergence():
     assert solution.max_mismatch > 1e-6
 
 
-def test_max_iterations_zero_reports_nonconvergence():
-    case = two_bus_case()
-    spec = make_spec([-0.5, 0.0], [0.0, 0.0], [PQ, SLACK])
-    solution = solve_power_flow(case, spec, options=SolverOptions(max_iterations=0))
+def test_iteration_cap_reports_nonconvergence(fixture_case):
+    # A dispatch inside the bundled decision box whose flat-start flow is
+    # still above tolerance when the solver's fixed step cap runs out.
+    decision = DecisionVector((-0.01, 0.15), (0.18, 0.11))
+    solution = solve_power_flow(fixture_case, build_injections(fixture_case, decision))
     assert not solution.converged
+    assert solution.iterations == MAX_ITERATIONS == 50
+    assert solution.max_mismatch > TOLERANCE
+    assert np.all(np.isfinite(solution.v)) and np.all(np.isfinite(solution.delta))
 
 
 def test_stack_member_failures_leave_the_others_bitwise():
@@ -227,11 +228,10 @@ def test_stack_member_failures_leave_the_others_bitwise():
     singular = mismatch_jacobian(start_v[0], start_delta[0], ybus, np.array([0]), np.array([0]))
     assert singular[1].tolist() == [0.0, 0.0]
     spec = make_spec([[-p, 0.0] for p in loads], np.zeros((4, 2)), [PQ, SLACK])
-    options = SolverOptions(flat_start=False)
     with pytest.raises(ValueError, match="one injection set"):
-        solve_power_flow(case, spec, options, ybus)
+        solve_power_flow(case, spec, ybus)
 
-    flows = solve_stack(spec, ybus, options, start=(start_v, start_delta))
+    flows = solve_stack(spec, ybus, start=(start_v, start_delta))
     assert flows.converged.tolist() == [False, True, False, False]
     assert flows.iterations.tolist()[0::3] == [0, 0]
     assert np.array_equal(flows.v[0], start_v[0])
@@ -239,7 +239,6 @@ def test_stack_member_failures_leave_the_others_bitwise():
         alone = solve_power_flow(
             case,
             make_spec([-p_load, 0.0], [0.0, 0.0], [PQ, SLACK]),
-            options,
             ybus,
             start=(start_v[k], start_delta[k]),
         )
@@ -293,7 +292,7 @@ def jacobian_fd_gap(case, rng):
         v2 = v.copy()
         d2[pvpq] = x[: pvpq.size]
         v2[pq] = x[pvpq.size :]
-        dp, dq = compute_mismatch(v2, d2, spec, ybus)
+        dp, dq = compute_mismatch(v2, d2, spec.p, spec.q, ybus)
         return np.concatenate([dp[pvpq], dq[pq]])
 
     x0 = np.concatenate([delta[pvpq], v[pq]])
