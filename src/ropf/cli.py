@@ -25,7 +25,7 @@ from .dispatch import (
     run_pricing,
     run_ropf,
 )
-from .netmodel import CaseError, NetworkCase, parse_case, validate_case
+from .netmodel import CaseError, NetworkCase, parse_case
 from .pso import PsoParams
 
 __all__ = ["build_parser", "main"]
@@ -115,13 +115,11 @@ def _emit(args: argparse.Namespace, body: dict, text: str) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     text = Path(args.case_path).read_text(encoding="utf-8")
+    violations = []
     try:
-        case = parse_case(text)
+        parse_case(text)  # validates the parsed case and raises on any violation
     except CaseError as exc:
-        # Parse-level defects are reported as violations too, one per line.
-        violations = [str(exc)]
-    else:
-        violations = validate_case(case)
+        violations.append(str(exc))
     body = {"violations": violations}
     lines = [f"violation: {v}" for v in violations]
     lines.append(f"{len(violations)} violation(s)")

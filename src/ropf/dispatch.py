@@ -90,11 +90,17 @@ class PenaltyConfig:
 
     voltage_weight scales the quadratic band-violation terms; the
     nonconvergence penalty is a constant large enough to dominate any
-    plausible feasible cost.
+    plausible feasible cost. Both must be finite and nonnegative.
     """
 
     voltage_weight: float = 1e4
     nonconvergence_penalty: float = 1e6
+
+    def __post_init__(self):
+        for name in ("voltage_weight", "nonconvergence_penalty"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -256,12 +262,21 @@ def compile_problem(
     )
 
 
-def swarm_fitness(problem: DispatchProblem, decisions: np.ndarray) -> np.ndarray:
+def swarm_fitness(
+    problem: DispatchProblem,
+    decisions: np.ndarray,
+    ceiling: np.ndarray | None = None,
+) -> np.ndarray:
     """Objective cost plus exterior penalties of each row of an (S, D)
     array of decisions, source order; returns S values.
 
     Each row is scored as if alone, so a stack gives the values its
-    members would give one by one.
+    members would give one by one. A row whose ceiling (shape (S,), the
+    value it must beat, such as a particle's personal best) is no higher
+    than its cost plus nonconvergence_penalty, the least a non-converged
+    flow scores, can only matter by converging: its flow gives up after
+    QUICK_CAP Newton steps. Values below their ceiling are the ceiling-free
+    values bit for bit; the others are at least their ceiling.
     """
     x = np.asarray(decisions, dtype=float)
     if x.ndim != 2 or x.shape[1] != problem.positions.size:
@@ -274,8 +289,9 @@ def swarm_fitness(problem: DispatchProblem, decisions: np.ndarray) -> np.ndarray
     q = np.repeat(base.q[None, :], len(x), axis=0)
     _add_source_outputs(q, problem.positions, x)
     spec = InjectionSpec(np.broadcast_to(base.p, q.shape), q, base.roles, base.v_setpoint)
-    flows = solve_stack(spec, problem.ybus)
     pen = problem.penalties
+    quick = None if ceiling is None else ceiling <= costs.total + pen.nonconvergence_penalty
+    flows = solve_stack(spec, problem.ybus, quick=quick)
     value = costs.total + pen.voltage_weight * _band_violation(flows.v, problem.v_min, problem.v_max)
     value[~flows.converged] += pen.nonconvergence_penalty
     return value
@@ -302,13 +318,15 @@ def baseline_loss(
     """Reference flow before compensation: compensators off, generator buses
     voltage-held at 1.0 p.u., and its cross-checked loss. Raises
     DispatchError if it does not converge."""
+    if ybus is None:
+        ybus = build_admittance(case)
     spec = build_injections(case, None, generators_pv=True)
     solution = solve_power_flow(case, spec, ybus)
     if not solution.converged:
         raise DispatchError(
             f"baseline power flow did not converge (residual {solution.max_mismatch:.3e})"
         )
-    return solution, total_losses(solution, case)
+    return solution, total_losses(solution, case, ybus)
 
 
 def run_ropf(
@@ -342,9 +360,16 @@ def run_ropf(
         return full
 
     if free:
-        result = pso.optimize(
-            lambda x: swarm_fitness(problem, assemble(x)), [bounds[k] for k in free], params
-        )
+        # pso moves a personal best only on strict improvement, so the running
+        # minimum of the values returned for a particle is its personal best.
+        pbest = np.full(params.swarm_size, np.inf)
+
+        def fitness(x: np.ndarray) -> np.ndarray:
+            value = swarm_fitness(problem, assemble(x), pbest)
+            np.fmin(pbest, value, out=pbest)
+            return value
+
+        result = pso.optimize(fitness, [bounds[k] for k in free], params)
         position = result.position
         gbest = result.fitness
         history = result.history
@@ -374,7 +399,7 @@ def run_ropf(
         )
         alt = solve_power_flow(case, build_injections(case, alt_decision), ybus)
         if alt.converged:
-            loss_before_alt = total_losses(alt, case)
+            loss_before_alt = total_losses(alt, case, ybus)
 
     per_source = costs.generator_costs + costs.compensator_costs
     return RopfReport(
@@ -384,7 +409,7 @@ def run_ropf(
         cost_per_source=per_source,
         total_payment=float(sum(per_source)),
         loss_before=loss_before,
-        loss_after=total_losses(solution, case),
+        loss_after=total_losses(solution, case, ybus),
         loss_before_alt=loss_before_alt,
         feasible=feasible,
         converged=solution.converged,

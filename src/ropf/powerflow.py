@@ -17,7 +17,8 @@ share a network, its admittance matrix and the bus roles, each member with
 its own convergence and failure mask; `solve_power_flow` is that loop run
 on a stack of one. Every member's arithmetic is the one a lone solve does
 (stacked matrix products, one LAPACK solve per member), so a member's
-result does not depend on the rest of its stack.
+result does not depend on the rest of its stack. A member whose caller
+only needs its convergence can be flagged to give up after QUICK_CAP steps.
 """
 
 from __future__ import annotations
@@ -43,9 +44,11 @@ __all__ = [
 ]
 
 # A solve converges when its largest residual reaches TOLERANCE and gives
-# up after MAX_ITERATIONS Newton steps.
+# up after MAX_ITERATIONS Newton steps, a flagged stack member after
+# QUICK_CAP (converging flows of the bundled decision box take at most 10).
 TOLERANCE = 1e-6
 MAX_ITERATIONS = 50
+QUICK_CAP = 15
 
 
 class BusRole(IntEnum):
@@ -216,15 +219,20 @@ def _newton_steps(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
         return steps
 
 
-def total_losses(solution: PowerFlowSolution, case: NetworkCase) -> float:
+def total_losses(
+    solution: PowerFlowSolution,
+    case: NetworkCase,
+    ybus: AdmittanceMatrix | None = None,
+) -> float:
     """Total active loss, cross-checked two ways.
 
     Computes the loss as the sum of net injections (slack included) and as
     the sum of branch series I**2 R; a disagreement beyond 1e-8 means the
     admittance model and the branch model have diverged, which is an
-    internal bug, so it raises.
+    internal bug, so it raises. Without ybus it builds the case's.
     """
-    ybus = build_admittance(case)
+    if ybus is None:
+        ybus = build_admittance(case)
     volt = solution.v * np.exp(1j * solution.delta)
     by_injection = float(np.sum(_injections(volt, ybus).real))
     branches = case.branches
@@ -246,6 +254,7 @@ def solve_stack(
     spec: InjectionSpec,
     ybus: AdmittanceMatrix,
     start: tuple[np.ndarray, np.ndarray] | None = None,
+    quick: np.ndarray | None = None,
 ) -> StackSolution:
     """Solve the AC power flow of every injection set in a stack.
 
@@ -254,9 +263,11 @@ def solve_stack(
     Voltage magnitudes of the slack and PV buses are held at their
     setpoints; the slack angle is zero. A member stops as converged when
     its residual norm reaches TOLERANCE, and as not converged after
-    MAX_ITERATIONS steps, or when its Newton step is singular or non-finite
-    or would leave a non-finite or non-positive voltage magnitude; it then
-    keeps its last usable state. The other members are unaffected.
+    MAX_ITERATIONS steps (QUICK_CAP steps for members flagged in the
+    boolean mask quick, shape (S,)), or when its Newton step is singular or
+    non-finite or would leave a non-finite or non-positive voltage
+    magnitude; it then keeps its last usable state. The other members are
+    unaffected.
     """
     roles = spec.roles
     if ybus.n != roles.size:
@@ -281,6 +292,9 @@ def solve_stack(
     iterations = np.zeros(shape[0], dtype=int)
     max_mismatch = np.full(shape[0], np.inf)
     converged = np.zeros(shape[0], dtype=bool)
+    cap = np.full(shape[0], MAX_ITERATIONS)
+    if quick is not None:
+        cap[np.asarray(quick, dtype=bool)] = QUICK_CAP
     active = np.arange(shape[0])
     while active.size:
         v_now, delta_now = v[active], delta[active]
@@ -290,7 +304,7 @@ def solve_stack(
         max_mismatch[active] = worst
         done = worst <= TOLERANCE
         converged[active[done]] = True
-        stepping = ~done & (iterations[active] < MAX_ITERATIONS)
+        stepping = ~done & (iterations[active] < cap[active])
         if not stepping.any():
             break
         active, v_now, delta_now = active[stepping], v_now[stepping], delta_now[stepping]

@@ -66,8 +66,8 @@ class PsoParams:
             w = getattr(self, name)
             if not 0.0 <= w <= 2.0:
                 raise ValueError(f"{name} must be in [0, 2], got {w}")
-        if self.c1 < 0 or self.c2 < 0:
-            raise ValueError("acceleration coefficients must be nonnegative")
+        if not (0.0 <= self.c1 < math.inf and 0.0 <= self.c2 < math.inf):
+            raise ValueError("acceleration coefficients must be finite and nonnegative")
         if not 0.0 < self.v_max_fraction <= 1.0:
             raise ValueError(f"v_max_fraction must be in (0, 1], got {self.v_max_fraction}")
 

@@ -210,6 +210,23 @@ def test_non_finite_case_data_is_rejected(fixture_case, tmp_path, capsys, sectio
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--voltage-weight", "-1"),
+        ("--voltage-weight", "inf"),
+        ("--voltage-weight", "nan"),
+        ("--c1", "nan"),
+        ("--c2", "inf"),
+    ],
+)
+def test_search_settings_that_break_the_fitness_are_rejected(fixture_path, capsys, flag, value):
+    for command in ("ropf", "pricing"):
+        assert main([command, str(fixture_path), flag, value, "--swarm-size", "4", "--iterations", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_parser_defaults_match_documented_interface():
     args = build_parser().parse_args(["ropf", "x.case"])
     assert args.seed == 1

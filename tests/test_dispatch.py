@@ -24,6 +24,7 @@ from ropf.netmodel import (
     NetworkCase,
     build_admittance,
 )
+from ropf import dispatch, pso
 from ropf.powerflow import BusRole, InjectionSpec, PowerFlowSolution, solve_power_flow, solve_stack
 from ropf.pso import PsoParams
 from ropf.dispatch import (
@@ -201,6 +202,69 @@ def test_stack_equals_its_members(fixture_case, unity):
         assert solution.iterations == flows.iterations[k]
         assert np.array_equal(solution.v, flows.v[k])
         assert np.array_equal(solution.delta, flows.delta[k])
+
+
+def test_a_ceiling_changes_no_value_below_it(fixture_case):
+    # Each row gets no ceiling, its own exact value, or the least value a
+    # non-converged flow can score (which flags its flow for the quick cap).
+    problem = compile_problem(fixture_case)
+    lower, upper = np.array(decision_bounds(fixture_case)).T
+    points = lower + np.random.default_rng(29).uniform(size=(600, lower.size)) * (upper - lower)
+    exact = swarm_fitness(problem, points)
+    split = problem.n_generators
+    costs = total_reactive_cost(fixture_case, list(points[:, :split].T), list(points[:, split:].T)).total
+    choice = np.arange(len(points)) % 3
+    least_unconverged = costs + problem.penalties.nonconvergence_penalty
+    ceiling = np.choose(choice, [np.full(len(points), np.inf), exact, least_unconverged])
+
+    value = swarm_fitness(problem, points, ceiling)
+    below = value < ceiling
+    assert np.array_equal(value[below], exact[below])
+    assert np.all(value[~below] >= ceiling[~below])
+    assert np.any(below) and np.any(~below)
+    assert np.any(value != exact)  # the quick cap cut some flow short
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("unity", [False, True], ids=["bundled", "unity-power-factor"])
+def test_run_ropf_equals_the_exact_fitness_search(fixture_case, monkeypatch, unity, seed):
+    # run_ropf passes each particle's personal best as the ceiling; a search
+    # over the ceiling-free fitness must end at the same bits.
+    case = unity_power_factor_case(fixture_case) if unity else fixture_case
+    params = PsoParams(swarm_size=10, max_iterations=40, seed=seed)
+    bounds = decision_bounds(case)
+    assert all(lo < hi for lo, hi in bounds)
+    problem = compile_problem(case)
+    reference = pso.optimize(lambda x: swarm_fitness(problem, x), bounds, params)
+
+    flagged = []
+
+    def recording_solve_stack(spec, ybus, start=None, quick=None):
+        flagged.append(0 if quick is None else int(np.count_nonzero(quick)))
+        return solve_stack(spec, ybus, start, quick)
+
+    monkeypatch.setattr(dispatch, "solve_stack", recording_solve_stack)
+    report = run_ropf(case, params)
+    assert sum(flagged) > 0
+    assert report.var_requirements == tuple(float(x) for x in reference.position)
+    assert report.gbest_fitness == reference.fitness
+    assert report.convergence_history == reference.history
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("voltage_weight", -1.0),
+        ("voltage_weight", np.inf),
+        ("voltage_weight", np.nan),
+        ("nonconvergence_penalty", -1e6),
+        ("nonconvergence_penalty", np.inf),
+        ("nonconvergence_penalty", np.nan),
+    ],
+)
+def test_penalties_must_be_finite_and_nonnegative(field, value):
+    with pytest.raises(ValueError, match=field):
+        PenaltyConfig(**{field: value})
 
 
 def test_swarm_fitness_rejects_wrong_width(fixture_case):

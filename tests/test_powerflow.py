@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 
 from conftest import two_bus_case
-from ropf.dispatch import DecisionVector, build_injections
+from ropf.dispatch import DecisionVector, build_injections, decision_bounds, unity_power_factor_case
 from ropf.netmodel import Branch, Bus, Load, NetworkCase, build_admittance
 from ropf.powerflow import (
     MAX_ITERATIONS,
+    QUICK_CAP,
     TOLERANCE,
     BusRole,
     InjectionSpec,
@@ -247,6 +248,65 @@ def test_stack_member_failures_leave_the_others_bitwise():
         assert alone.max_mismatch == flows.max_mismatch[k]
         assert np.array_equal(alone.v, flows.v[k])
         assert np.array_equal(alone.delta, flows.delta[k])
+
+
+def box_specs(case, count, seed):
+    """Injections of `count` seeded points of the case's decision box."""
+    lower, upper = np.array(decision_bounds(case)).T
+    points = lower + np.random.default_rng(seed).uniform(size=(count, lower.size)) * (upper - lower)
+    return [build_injections(case, DecisionVector.from_array(case, x)) for x in points]
+
+
+def stack_of(specs):
+    return InjectionSpec(
+        np.array([s.p for s in specs]), np.array([s.q for s in specs]), specs[0].roles, specs[0].v_setpoint
+    )
+
+
+@pytest.mark.parametrize("unity", [False, True], ids=["bundled", "unity-power-factor"])
+def test_converging_box_flows_need_no_more_than_the_quick_cap(fixture_case, unity):
+    # The quick cap gives the same answers only while every flow of the
+    # dispatch box that converges at all does so within QUICK_CAP steps.
+    case = unity_power_factor_case(fixture_case) if unity else fixture_case
+    flows = solve_stack(stack_of(box_specs(case, 1000, seed=23)), build_admittance(case))
+    assert 0 < np.count_nonzero(flows.converged) < 1000
+    assert np.max(flows.iterations[flows.converged]) <= QUICK_CAP
+    assert np.max(flows.iterations[~flows.converged]) == MAX_ITERATIONS
+
+
+def test_quick_members_stop_at_the_quick_cap_and_leave_the_rest_bitwise(fixture_case):
+    # Member 0 is the capped dispatch of test_iteration_cap_reports_nonconvergence;
+    # the members are flagged and not flagged in turn.
+    case = fixture_case
+    ybus = build_admittance(case)
+    capped = build_injections(case, DecisionVector((-0.01, 0.15), (0.18, 0.11)))
+    specs = [capped] + box_specs(case, 120, seed=5)
+    quick = np.arange(len(specs)) % 2 == 0
+
+    flows = solve_stack(stack_of(specs), ybus, quick=quick)
+    assert not flows.converged[0] and flows.iterations[0] == QUICK_CAP
+    assert np.all(flows.iterations[quick & ~flows.converged] <= QUICK_CAP)
+    assert np.any(flows.iterations[~quick & ~flows.converged] > QUICK_CAP)
+    assert np.any(flows.converged[quick]) and np.any(flows.converged[~quick])
+    for k, spec in enumerate(specs):
+        if quick[k] and not flows.converged[k]:
+            alone_quick = solve_stack(stack_of([spec]), ybus, quick=[True])
+            assert alone_quick.iterations[0] == flows.iterations[k]
+            assert np.array_equal(alone_quick.v[0], flows.v[k])
+            continue
+        alone = solve_power_flow(case, spec, ybus)
+        assert alone.converged == flows.converged[k]
+        assert alone.iterations == flows.iterations[k]
+        assert alone.max_mismatch == flows.max_mismatch[k]
+        assert np.array_equal(alone.v, flows.v[k])
+        assert np.array_equal(alone.delta, flows.delta[k])
+
+
+def test_total_losses_takes_the_ybus_at_hand(fixture_case):
+    ybus = build_admittance(fixture_case)
+    spec = build_injections(fixture_case, None, generators_pv=True)
+    solution = solve_power_flow(fixture_case, spec, ybus)
+    assert repr(total_losses(solution, fixture_case, ybus)) == repr(total_losses(solution, fixture_case))
 
 
 def random_connected_case(rng, n):

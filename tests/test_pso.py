@@ -54,6 +54,8 @@ def test_params_validate():
         dict(w_start=-0.1),
         dict(w_end=2.5),
         dict(c1=-1.0),
+        dict(c1=math.nan),
+        dict(c2=math.inf),
         dict(v_max_fraction=0.0),
         dict(v_max_fraction=1.5),
     ):
