@@ -429,28 +429,23 @@ def unity_power_factor_case(case: NetworkCase) -> NetworkCase:
     return replace(case, loads=tuple(replace(load, q=0.0) for load in case.loads))
 
 
-def allocate_payments(report: RopfReport, duty: "RopfReport | float") -> Payments:
-    """Split the run's costs into payments.
+def allocate_payments(report: RopfReport, duty: RopfReport) -> Payments:
+    """Split the run's costs into payments, given the unity-power-factor run.
 
-    Loads owe the cost beyond the duty cost (floored at zero). The duty
-    cost is charged back to the generators, split in proportion to their
-    costs in the unity-power-factor run when that report is given (equal
-    proportions to their own incurred costs when only a scalar duty cost is
-    available). Each generator receives its incurred cost minus its duty
+    Loads owe the cost beyond the duty cost, the duty run's total payment
+    (floored at zero). The duty cost is charged back to the generators,
+    split in proportion to their costs in the duty run (equally when those
+    are all zero). Each generator receives its incurred cost minus its duty
     share, floored at zero; compensators receive their full cost.
     """
     gen_idx = [k for k, kind in enumerate(report.source_kinds) if kind == "generator"]
     comp_idx = [k for k, kind in enumerate(report.source_kinds) if kind == "compensator"]
     incurred = [report.cost_per_source[k] for k in gen_idx]
 
-    if isinstance(duty, RopfReport):
-        cg = duty.total_payment
-        weights = [duty.cost_per_source[k] for k, kind in enumerate(duty.source_kinds) if kind == "generator"]
-        if len(weights) != len(gen_idx):
-            raise ValueError("duty report does not match the run's generator set")
-    else:
-        cg = float(duty)
-        weights = list(incurred)
+    cg = duty.total_payment
+    weights = [duty.cost_per_source[k] for k, kind in enumerate(duty.source_kinds) if kind == "generator"]
+    if len(weights) != len(gen_idx):
+        raise ValueError("duty report does not match the run's generator set")
     if cg < 0:
         raise ValueError(f"duty cost must be nonnegative, got {cg}")
 

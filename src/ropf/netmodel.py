@@ -178,10 +178,15 @@ class NetworkCase:
 
 @dataclass(frozen=True, eq=False)
 class AdmittanceMatrix:
-    """Dense complex bus admittance matrix, read-only once built."""
+    """Dense complex bus admittance matrix and the branch arrays it was built
+    from (terminal positions, series impedance r + jx, tap), all read-only."""
 
     n: int
     matrix: np.ndarray
+    branch_from: np.ndarray
+    branch_to: np.ndarray
+    branch_impedance: np.ndarray
+    branch_tap: np.ndarray
 
 
 _SECTIONS = (
@@ -546,17 +551,25 @@ def build_admittance(case: NetworkCase) -> AdmittanceMatrix:
     """
     n = case.n
     y = np.zeros((n, n), dtype=complex)
+    ends, impedance, tap = [], [], []
     for br in case.branches:
         if br.resistance == 0.0 and br.reactance == 0.0:
             raise CaseError(f"branch {br.from_bus}-{br.to_bus}: zero impedance")
         i = case.index_of(br.from_bus)
         j = case.index_of(br.to_bus)
-        series = 1.0 / complex(br.resistance, br.reactance)
+        z = complex(br.resistance, br.reactance)
+        series = 1.0 / z
         shunt = 0.5j * br.charging_susceptance
         a = br.tap_ratio
         y[i, i] += (series + shunt) / (a * a)
         y[j, j] += series + shunt
         y[i, j] -= series / a
         y[j, i] -= series / a
-    y.flags.writeable = False
-    return AdmittanceMatrix(n=n, matrix=y)
+        ends.extend((i, j))
+        impedance.append(z)
+        tap.append(a)
+    ends = np.array(ends, dtype=int).reshape(-1, 2)
+    arrays = (y, ends[:, 0], ends[:, 1], np.array(impedance, dtype=complex), np.array(tap, dtype=float))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return AdmittanceMatrix(n, *arrays)

@@ -16,9 +16,10 @@ One Newton loop (`solve_stack`) solves a stack of S injection sets that
 share a network, its admittance matrix and the bus roles, each member with
 its own convergence and failure mask; `solve_power_flow` is that loop run
 on a stack of one. Every member's arithmetic is the one a lone solve does
-(stacked matrix products, one LAPACK solve per member), so a member's
-result does not depend on the rest of its stack. A member whose caller
-only needs its convergence can be flagged to give up after QUICK_CAP steps.
+(one matrix-vector product per member, elementwise Jacobian terms, one
+LAPACK solve per member), so a member's result does not depend on the rest
+of its stack. A member whose caller only needs its convergence can be
+flagged to give up after QUICK_CAP steps.
 """
 
 from __future__ import annotations
@@ -135,15 +136,6 @@ def _matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (matrix @ x[..., None])[..., 0]
 
 
-def _diag(x: np.ndarray) -> np.ndarray:
-    """Diagonal matrices (..., n, n) from vectors (..., n)."""
-    n = x.shape[-1]
-    out = np.zeros(x.shape + (n,), dtype=x.dtype)
-    idx = np.arange(n)
-    out[..., idx, idx] = x
-    return out
-
-
 def _injections(volt: np.ndarray, ybus: AdmittanceMatrix) -> np.ndarray:
     """Complex power injections S = V * conj(Y @ V) of voltages (..., n)."""
     return volt * np.conj(_matvec(ybus.matrix, volt))
@@ -180,17 +172,21 @@ def mismatch_jacobian(
 
     Rows: d P[pvpq], d Q[pq]; columns: d delta[pvpq], d |V|[pq]. The solver
     uses it as J dx = residual since residual = spec - computed. Voltages
-    of shape (S, n) give a stack of S Jacobians.
+    of shape (S, n) give a stack of S Jacobians, every entry elementwise in
+    its row. With I = Y @ V and u = V/|V| (MATPOWER's dSbus_dV in vector
+    form, Zimmerman et al., IEEE TPWRS 26(1), 2011):
+    dS_i/d delta_j = -j V_i conj(Y_ij V_j), plus j V_i conj(I_i) if i = j;
+    dS_i/d |V_j| = V_i conj(Y_ij u_j), plus conj(I_i) u_i if i = j.
     """
     volt = np.asarray(v, float) * np.exp(1j * np.asarray(delta, float))
     y = ybus.matrix
-    current = _matvec(y, volt)
-    diag_v = _diag(volt)
-    diag_i = _diag(current)
-    diag_unit = _diag(volt / np.abs(volt))
-
-    ds_dangle = 1j * diag_v @ np.conj(diag_i - y @ diag_v)
-    ds_dvm = diag_v @ np.conj(y @ diag_unit) + np.conj(diag_i) @ diag_unit
+    current_conj = np.conj(_matvec(y, volt))
+    unit = volt / np.abs(volt)
+    ds_dangle = -1j * volt[..., :, None] * np.conj(y * volt[..., None, :])
+    ds_dvm = volt[..., :, None] * np.conj(y * unit[..., None, :])
+    idx = np.arange(volt.shape[-1])
+    ds_dangle[..., idx, idx] += 1j * volt * current_conj
+    ds_dvm[..., idx, idx] += current_conj * unit
 
     k = pvpq.size
     jac = np.empty(volt.shape[:-1] + (k + pq.size,) * 2)
@@ -235,14 +231,9 @@ def total_losses(
         ybus = build_admittance(case)
     volt = solution.v * np.exp(1j * solution.delta)
     by_injection = float(np.sum(_injections(volt, ybus).real))
-    branches = case.branches
-    from_idx = np.array([case.index_of(br.from_bus) for br in branches], dtype=int)
-    to_idx = np.array([case.index_of(br.to_bus) for br in branches], dtype=int)
-    r = np.array([br.resistance for br in branches], dtype=float)
-    x = np.array([br.reactance for br in branches], dtype=float)
-    tap = np.array([br.tap_ratio for br in branches], dtype=float)
-    i_series = (volt[from_idx] / tap - volt[to_idx]) / (r + 1j * x)
-    by_branch = float(np.sum(r * np.abs(i_series) ** 2))
+    z = ybus.branch_impedance
+    i_series = (volt[ybus.branch_from] / ybus.branch_tap - volt[ybus.branch_to]) / z
+    by_branch = float(np.sum(z.real * np.abs(i_series) ** 2))
     if abs(by_injection - by_branch) > 1e-8:
         raise AssertionError(
             f"loss cross-check failed: injections {by_injection!r} vs branches {by_branch!r}"

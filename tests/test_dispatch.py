@@ -357,7 +357,8 @@ def test_duty_cost_nonnegative_and_below_actual():
 
 def test_allocate_payments_proportional_no_clipping():
     report = mk_report(("generator", "generator", "compensator"), (1, 2, 3), (3.0, 1.0, 2.0))
-    payments = allocate_payments(report, 2.0)
+    duty = mk_report(("generator", "generator", "compensator"), (1, 2, 3), (1.5, 0.5, 0.0))
+    payments = allocate_payments(report, duty)
     assert payments.duty_shares == pytest.approx((1.5, 0.5))
     assert payments.generator_payments == pytest.approx((1.5, 0.5))
     assert payments.compensator_payments == pytest.approx((2.0,))
@@ -371,7 +372,8 @@ def test_allocate_payments_proportional_no_clipping():
 
 def test_allocate_payments_floors_negative_payments():
     report = mk_report(("generator", "generator", "compensator"), (1, 2, 3), (3.0, 1.0, 2.0))
-    payments = allocate_payments(report, 10.0)
+    duty = mk_report(("generator", "generator", "compensator"), (1, 2, 3), (7.5, 2.5, 0.0))
+    payments = allocate_payments(report, duty)
     assert payments.duty_shares == pytest.approx((7.5, 2.5))
     assert payments.generator_payments == (0.0, 0.0)
     assert payments.load_allocated == 0.0
@@ -392,7 +394,7 @@ def test_allocate_payments_weights_from_duty_report():
 
 def test_allocate_payments_zero_duty_pays_in_full():
     report = mk_report(("generator", "compensator"), (1, 3), (3.0, 2.0))
-    payments = allocate_payments(report, 0.0)
+    payments = allocate_payments(report, mk_report(("generator", "compensator"), (1, 3), (0.0, 0.0)))
     assert payments.generator_payments == (3.0,)
     assert payments.duty_shares == (0.0,)
     assert payments.load_allocated == pytest.approx(5.0)
@@ -400,7 +402,7 @@ def test_allocate_payments_zero_duty_pays_in_full():
 
 def test_allocate_payments_single_generator_full_duty():
     report = mk_report(("generator",), (1,), (3.0,))
-    payments = allocate_payments(report, 3.0)
+    payments = allocate_payments(report, mk_report(("generator",), (1,), (3.0,)))
     assert payments.generator_payments == (0.0,)
     assert payments.total == 0.0
 
@@ -415,7 +417,7 @@ def test_allocate_payments_equal_split_when_duty_run_costs_nothing():
 def test_allocate_payments_validates_inputs():
     report = mk_report(("generator", "generator"), (1, 2), (3.0, 1.0))
     with pytest.raises(ValueError, match="nonnegative"):
-        allocate_payments(report, -1.0)
+        allocate_payments(report, mk_report(("generator",) * 2, (1, 2), (1.0, 1.0), total_payment=-1.0))
     with pytest.raises(ValueError, match="generator set"):
         allocate_payments(report, mk_report(("generator",), (1,), (1.0,)))
 
@@ -436,7 +438,8 @@ def test_run_pricing_settles_and_annotates():
 
 def test_report_to_dict_is_json_ready():
     report = mk_report(("generator", "compensator"), (1, 3), (3.0, 2.0))
-    doc = report_to_dict(report, allocate_payments(report, 1.0))
+    duty = mk_report(("generator", "compensator"), (1, 3), (1.0, 0.0))
+    doc = report_to_dict(report, allocate_payments(report, duty))
     text = json.dumps(doc)
     parsed = json.loads(text)
     assert parsed["total_payment_per_h"] == pytest.approx(5.0)
@@ -446,6 +449,7 @@ def test_report_to_dict_is_json_ready():
 
 def test_render_text_mentions_the_essentials():
     report = mk_report(("generator", "compensator"), (1, 3), (3.0, 2.0))
-    text = render_text(report, allocate_payments(report, 1.0))
+    duty = mk_report(("generator", "compensator"), (1, 3), (1.0, 0.0))
+    text = render_text(report, allocate_payments(report, duty))
     for needle in ("generator", "compensator", "loss", "feasible", "total"):
         assert needle in text.lower()

@@ -207,8 +207,7 @@ def test_infeasible_load_reports_nonconvergence():
 def test_iteration_cap_reports_nonconvergence(fixture_case):
     # A dispatch inside the bundled decision box whose flat-start flow is
     # still above tolerance when the solver's fixed step cap runs out.
-    decision = DecisionVector((-0.01, 0.15), (0.18, 0.11))
-    solution = solve_power_flow(fixture_case, build_injections(fixture_case, decision))
+    solution = solve_power_flow(fixture_case, capped_box_spec(fixture_case))
     assert not solution.converged
     assert solution.iterations == MAX_ITERATIONS == 50
     assert solution.max_mismatch > TOLERANCE
@@ -257,6 +256,17 @@ def box_specs(case, count, seed):
     return [build_injections(case, DecisionVector.from_array(case, x)) for x in points]
 
 
+def capped_box_spec(case):
+    """The first of box_specs(case, 1000, seed=23) whose lone flat-start
+    flow is still not converged after MAX_ITERATIONS steps."""
+    ybus = build_admittance(case)
+    for spec in box_specs(case, 1000, seed=23):
+        solution = solve_power_flow(case, spec, ybus)
+        if not solution.converged and solution.iterations == MAX_ITERATIONS:
+            return spec
+    pytest.fail("no flow of the seeded decision box runs to the iteration cap")
+
+
 def stack_of(specs):
     return InjectionSpec(
         np.array([s.p for s in specs]), np.array([s.q for s in specs]), specs[0].roles, specs[0].v_setpoint
@@ -275,12 +285,11 @@ def test_converging_box_flows_need_no_more_than_the_quick_cap(fixture_case, unit
 
 
 def test_quick_members_stop_at_the_quick_cap_and_leave_the_rest_bitwise(fixture_case):
-    # Member 0 is the capped dispatch of test_iteration_cap_reports_nonconvergence;
-    # the members are flagged and not flagged in turn.
+    # Member 0 runs to the iteration cap when alone; the members are
+    # flagged and not flagged in turn.
     case = fixture_case
     ybus = build_admittance(case)
-    capped = build_injections(case, DecisionVector((-0.01, 0.15), (0.18, 0.11)))
-    specs = [capped] + box_specs(case, 120, seed=5)
+    specs = [capped_box_spec(case)] + box_specs(case, 120, seed=5)
     quick = np.arange(len(specs)) % 2 == 0
 
     flows = solve_stack(stack_of(specs), ybus, quick=quick)
@@ -373,6 +382,64 @@ def test_jacobian_matches_finite_differences():
     for k in range(20):
         case = random_connected_case(rng, int(rng.integers(3, 7)))
         assert jacobian_fd_gap(case, rng) <= 1e-5
+
+
+def diagonal_matrix_jacobian(v, delta, ybus, pvpq, pq):
+    """Reference: dSbus_dV written with dense diagonal matrices,
+    dS/d delta = j diag(V) conj(diag(I) - Y diag(V)) and
+    dS/d |V| = diag(V) conj(Y diag(u)) + conj(diag(I)) diag(u)."""
+
+    def diag(x):
+        out = np.zeros(x.shape + x.shape[-1:], dtype=x.dtype)
+        out[..., np.arange(x.shape[-1]), np.arange(x.shape[-1])] = x
+        return out
+
+    volt = v * np.exp(1j * delta)
+    y = ybus.matrix
+    diag_v = diag(volt)
+    diag_i = diag((y @ volt[..., None])[..., 0])
+    diag_unit = diag(volt / np.abs(volt))
+    ds_dangle = 1j * diag_v @ np.conj(diag_i - y @ diag_v)
+    ds_dvm = diag_v @ np.conj(y @ diag_unit) + np.conj(diag_i) @ diag_unit
+    return np.block(
+        [
+            [ds_dangle[..., pvpq[:, None], pvpq].real, ds_dvm[..., pvpq[:, None], pq].real],
+            [ds_dangle[..., pq[:, None], pvpq].imag, ds_dvm[..., pq[:, None], pq].imag],
+        ]
+    )
+
+
+def random_states(case, generators_pv, size, seed):
+    """Bus index sets of the bundled dispatch (or reference) roles and a
+    seeded stack of interior voltage states."""
+    roles = build_injections(case, generators_pv=generators_pv).roles
+    pv = np.flatnonzero(roles == PV)
+    pq = np.flatnonzero(roles == PQ)
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.9, 1.1, size=(size, case.n))
+    delta = rng.uniform(-0.4, 0.4, size=(size, case.n))
+    return v, delta, np.concatenate([pv, pq]), pq
+
+
+@pytest.mark.parametrize("size", [1, 7, 30])
+@pytest.mark.parametrize("generators_pv", [False, True], ids=["pq-only", "with-pv"])
+def test_jacobian_matches_the_diagonal_matrix_form(fixture_case, generators_pv, size):
+    v, delta, pvpq, pq = random_states(fixture_case, generators_pv, size, seed=size)
+    assert (pvpq.size > pq.size) == generators_pv
+    ybus = build_admittance(fixture_case)
+    jac = mismatch_jacobian(v, delta, ybus, pvpq, pq)
+    ref = diagonal_matrix_jacobian(v, delta, ybus, pvpq, pq)
+    assert jac.shape == ref.shape == (size, pvpq.size + pq.size, pvpq.size + pq.size)
+    assert np.max(np.abs(jac - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("size", [2, 7, 33])
+def test_stacked_jacobian_rows_equal_lone_jacobians_bitwise(fixture_case, size):
+    v, delta, pvpq, pq = random_states(fixture_case, True, size, seed=100 + size)
+    ybus = build_admittance(fixture_case)
+    stacked = mismatch_jacobian(v, delta, ybus, pvpq, pq)
+    for s in range(size):
+        assert np.array_equal(stacked[s], mismatch_jacobian(v[s], delta[s], ybus, pvpq, pq))
 
 
 def test_fixture_flow_with_held_generator_voltages(fixture_case):
