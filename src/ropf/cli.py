@@ -114,12 +114,11 @@ def _emit(args: argparse.Namespace, body: dict, text: str) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    text = Path(args.case_path).read_text(encoding="utf-8")
-    violations = []
     try:
-        parse_case(text)  # validates the parsed case and raises on any violation
+        _load_case(args.case_path)
+        violations = []
     except CaseError as exc:
-        violations.append(str(exc))
+        violations = list(exc.violations) or [str(exc)]
     body = {"violations": violations}
     lines = [f"violation: {v}" for v in violations]
     lines.append(f"{len(violations)} violation(s)")

@@ -1,14 +1,17 @@
 """Network data model: buses, branches, reactive sources, loads.
 
 Includes the case-file parser, structural validation, and construction of
-the bus admittance matrix. All electrical quantities are per-unit on the
-case MVA base unless a field says otherwise ($ figures use base_mva to
-convert). Bus ids are arbitrary positive integers; matrix work uses the
-0-based position of a bus in the case bus list (see NetworkCase.index_of).
+the bus admittance matrix. The parser reports syntax errors with their line
+number; validate_case judges everything else and reports every violation at
+once. All electrical quantities are per-unit on the case MVA base unless a
+field says otherwise ($ figures use base_mva to convert). Bus ids are
+arbitrary positive integers; matrix work uses the 0-based position of a bus
+in the case bus list (see NetworkCase.index_of).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 import warnings
@@ -21,12 +24,9 @@ __all__ = [
     "AdmittanceMatrix",
     "Branch",
     "Bus",
-    "BUS_KINDS",
     "CaseError",
     "Compensator",
     "CostQuadratic",
-    "DEFAULT_V_MAX",
-    "DEFAULT_V_MIN",
     "Generator",
     "Load",
     "NetworkCase",
@@ -43,13 +43,15 @@ BUS_KINDS = ("slack", "generator", "load", "compensator")
 
 
 class CaseError(ValueError):
-    """Malformed case file or structurally unusable network data."""
+    """Malformed case file or structurally unusable network data. line is
+    set on syntax errors; violations holds validate_case's list, if any."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, violations: tuple[str, ...] = ()):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+        self.violations = violations
 
 
 @dataclass(frozen=True)
@@ -230,10 +232,11 @@ def parse_case(text: str) -> NetworkCase:
         [TRANSFORMER]  from to r x tap
         [LOAD]         bus p q
 
-    Raises CaseError with a line number on syntax problems, unknown bus
-    references, a duplicate slack, or a declared-but-empty section. A
-    negative load only warns; this model treats demand as nonnegative but
-    the format permits general signs.
+    Raises CaseError with a line number on syntax problems (unknown section,
+    stray record, field count, unreadable number), on a declared-but-empty
+    section, and with every violation validate_case finds in the parsed case
+    (in its violations). A negative load only warns; this model treats
+    demand as nonnegative but the format permits general signs.
     """
     rows: dict[str, list[tuple[int, list[str]]]] = {name: [] for name in _SECTIONS}
     declared: list[str] = []
@@ -258,8 +261,6 @@ def parse_case(text: str) -> NetworkCase:
     for name in declared:
         if not rows[name]:
             raise CaseError(f"empty section [{name}]")
-    if not rows["BUS"]:
-        raise CaseError("missing [BUS] section")
 
     base_mva = 100.0
     if rows["BASE_MVA"]:
@@ -268,38 +269,19 @@ def parse_case(text: str) -> NetworkCase:
         if len(base_rows) != 1 or len(tok) != 1:
             raise CaseError("[BASE_MVA] holds exactly one value", lineno)
         base_mva = _num(tok[0], lineno, "base MVA")
-        if base_mva <= 0:
-            raise CaseError("base MVA must be positive", lineno)
 
     buses: list[Bus] = []
-    ids: set[int] = set()
-    have_slack = False
     for lineno, tok in rows["BUS"]:
         if len(tok) not in (2, 4):
             raise CaseError("BUS record is 'id kind [v_min v_max]'", lineno)
         bus_id = _int(tok[0], lineno, "bus id")
         kind = tok[1].lower()
-        if kind not in BUS_KINDS:
-            raise CaseError(f"unknown bus kind {tok[1]!r}", lineno)
-        if bus_id in ids:
-            raise CaseError(f"duplicate bus id {bus_id}", lineno)
-        if kind == "slack":
-            if have_slack:
-                raise CaseError("duplicate slack bus", lineno)
-            have_slack = True
         if len(tok) == 4:
             v_min = _num(tok[2], lineno, "v_min")
             v_max = _num(tok[3], lineno, "v_max")
         else:
             v_min, v_max = DEFAULT_V_MIN, DEFAULT_V_MAX
-        ids.add(bus_id)
         buses.append(Bus(bus_id, kind, v_min, v_max))
-
-    def known(token: str, lineno: int) -> int:
-        bus_id = _int(token, lineno, "bus id")
-        if bus_id not in ids:
-            raise CaseError(f"unknown bus {bus_id}", lineno)
-        return bus_id
 
     generators: list[Generator] = []
     for lineno, tok in rows["GENERATOR"]:
@@ -308,7 +290,7 @@ def parse_case(text: str) -> NetworkCase:
         vals = [_num(t, lineno, "generator field") for t in tok[1:]]
         generators.append(
             Generator(
-                bus=known(tok[0], lineno),
+                bus=_int(tok[0], lineno, "bus id"),
                 p_output=vals[0],
                 s_max=vals[1],
                 q_min=vals[2],
@@ -324,7 +306,7 @@ def parse_case(text: str) -> NetworkCase:
             raise CaseError("COMPENSATOR record is 'bus q_min q_max rate'", lineno)
         compensators.append(
             Compensator(
-                bus=known(tok[0], lineno),
+                bus=_int(tok[0], lineno, "bus id"),
                 q_min=_num(tok[1], lineno, "q_min"),
                 q_max=_num(tok[2], lineno, "q_max"),
                 rate=_num(tok[3], lineno, "rate"),
@@ -337,8 +319,8 @@ def parse_case(text: str) -> NetworkCase:
             raise CaseError("BRANCH record is 'from to r x b'", lineno)
         branches.append(
             Branch(
-                from_bus=known(tok[0], lineno),
-                to_bus=known(tok[1], lineno),
+                from_bus=_int(tok[0], lineno, "bus id"),
+                to_bus=_int(tok[1], lineno, "bus id"),
                 resistance=_num(tok[2], lineno, "resistance"),
                 reactance=_num(tok[3], lineno, "reactance"),
                 charging_susceptance=_num(tok[4], lineno, "susceptance"),
@@ -349,8 +331,8 @@ def parse_case(text: str) -> NetworkCase:
             raise CaseError("TRANSFORMER record is 'from to r x tap'", lineno)
         branches.append(
             Branch(
-                from_bus=known(tok[0], lineno),
-                to_bus=known(tok[1], lineno),
+                from_bus=_int(tok[0], lineno, "bus id"),
+                to_bus=_int(tok[1], lineno, "bus id"),
                 resistance=_num(tok[2], lineno, "resistance"),
                 reactance=_num(tok[3], lineno, "reactance"),
                 tap_ratio=_num(tok[4], lineno, "tap ratio"),
@@ -362,7 +344,7 @@ def parse_case(text: str) -> NetworkCase:
         if len(tok) != 3:
             raise CaseError("LOAD record is 'bus p q'", lineno)
         load = Load(
-            bus=known(tok[0], lineno),
+            bus=_int(tok[0], lineno, "bus id"),
             p=_num(tok[1], lineno, "load p"),
             q=_num(tok[2], lineno, "load q"),
         )
@@ -380,7 +362,7 @@ def parse_case(text: str) -> NetworkCase:
     )
     violations = validate_case(case)
     if violations:
-        raise CaseError("invalid case: " + "; ".join(violations))
+        raise CaseError("invalid case: " + "; ".join(violations), violations=tuple(violations))
     return case
 
 
@@ -435,9 +417,9 @@ def validate_case(case: NetworkCase) -> list[str]:
     An empty list means the case is usable for power-flow and dispatch work.
     Checks: finite numbers throughout, positive base, unique bus ids,
     exactly one slack, sane voltage bands, branch endpoints that exist and
-    differ, nonzero branch impedance, positive taps, source limits ordered
-    and within capability, referenced buses present, and a connected
-    network.
+    differ, nonzero branch impedance, positive taps, finite Ybus terms,
+    source limits ordered and within capability, referenced buses present,
+    and a connected network.
     """
     bad: list[str] = []
     records = (
@@ -487,6 +469,14 @@ def validate_case(case: NetworkCase) -> list[str]:
             bad.append(f"{label}: zero impedance")
         if br.tap_ratio <= 0.0:
             bad.append(f"{label}: tap ratio must be positive, got {br.tap_ratio}")
+        elif br.resistance or br.reactance:
+            # The Ybus terms y/a**2 and y/a; a tap whose square underflows to
+            # zero would divide by zero.
+            y = 1.0 / complex(br.resistance, br.reactance)
+            a2 = br.tap_ratio * br.tap_ratio
+            finite = a2 > 0.0 and cmath.isfinite(y / a2) and cmath.isfinite(y / br.tap_ratio)
+            if not finite and all(map(math.isfinite, vars(br).values())):  # else reported above
+                bad.append(f"{label}: admittance is not finite")
 
     for g in case.generators:
         label = f"generator at bus {g.bus}"

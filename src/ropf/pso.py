@@ -70,6 +70,8 @@ class PsoParams:
             raise ValueError("acceleration coefficients must be finite and nonnegative")
         if not 0.0 < self.v_max_fraction <= 1.0:
             raise ValueError(f"v_max_fraction must be in (0, 1], got {self.v_max_fraction}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 class PsoResult(NamedTuple):

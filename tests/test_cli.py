@@ -16,7 +16,7 @@ import pytest
 
 from conftest import compensated_case
 from ropf.cli import build_parser, main
-from ropf.netmodel import serialize_case, validate_case
+from ropf.netmodel import CaseError, parse_case, serialize_case, validate_case
 
 FAST = ["--swarm-size", "8", "--iterations", "10", "--seed", "3"]
 
@@ -55,6 +55,93 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
     out = capsys.readouterr().out
     assert "disconnected" in out
+
+
+# An unknown load bus, inverted compensator limits, a negative rate and an
+# island: four violations, each reported on its own.
+FOUR_VIOLATIONS = """\
+[BASE_MVA]
+100.0
+[BUS]
+1 slack
+2 compensator
+3 load
+[COMPENSATOR]
+2 0.2 0.1 -1.0
+[BRANCH]
+1 2 0.0 0.1 0.0
+[LOAD]
+9 0.1 0.0
+"""
+
+
+def test_validate_lists_every_violation(tmp_path, capsys):
+    path = tmp_path / "four.case"
+    path.write_text(FOUR_VIOLATIONS)
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("violation: ") == 4
+    assert "load at bus 9: unknown bus 9" in out
+    assert out.endswith("4 violation(s)\n")
+    assert main(["validate", str(path), "--output-format", "machine-readable"]) == 1
+    assert len(json.loads(capsys.readouterr().out)["violations"]) == 4
+
+
+VALID_CASE = """\
+[BASE_MVA]
+100.0
+[BUS]
+1 generator
+2 compensator
+3 slack
+[GENERATOR]
+1 0.2 0.5 -0.3 0.3 45.0 750.0 450.0 0.07
+[COMPENSATOR]
+2 0.0 0.2 0.0354
+[BRANCH]
+1 2 0.01 0.05 0.0
+[TRANSFORMER]
+2 3 0.0 0.05 0.98
+[LOAD]
+2 0.1 0.02
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("3 slack\n", "3 slack\n3 load\n", "duplicate bus id 3"),
+        ("1 generator", "1 slack", "duplicate slack"),
+        ("1 generator", "1 turbine", "bus 1: unknown kind 'turbine'"),
+        ("1 2 0.01", "1 9 0.01", "branch 1-9: unknown bus 9"),
+        ("2 3 0.0", "2 9 0.0", "branch 2-9: unknown bus 9"),
+        ("1 0.2 0.5", "9 0.2 0.5", "generator at bus 9: unknown bus 9"),
+        ("2 0.0 0.2", "9 0.0 0.2", "compensator at bus 9: unknown bus 9"),
+        ("2 0.1 0.02", "9 0.1 0.02", "load at bus 9: unknown bus 9"),
+        ("100.0", "0", "base MVA must be positive"),
+        ("[BUS]\n1 generator\n2 compensator\n3 slack\n", "", "case has no buses"),
+    ],
+    ids=[
+        "duplicate-bus-id", "duplicate-slack", "unknown-kind", "branch-bus", "transformer-bus",
+        "generator-bus", "compensator-bus", "load-bus", "base-mva", "no-bus-section",
+    ],
+)
+def test_case_file_defects_are_violations(tmp_path, capsys, old, new, message):
+    assert parse_case(VALID_CASE).n == 3
+    text = VALID_CASE.replace(old, new, 1)
+    with pytest.raises(CaseError) as exc:
+        parse_case(text)
+    assert any(message in v for v in exc.value.violations)
+    path = tmp_path / "defect.case"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert message in capsys.readouterr().out
+
+
+def test_powerflow_rejects_a_tap_that_overflows_ybus(fixture_case, tmp_path, capsys):
+    path = write_case(tmp_path, _spoil(fixture_case, "branches", "tap_ratio", 1e-200))
+    assert main(["powerflow", path]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_missing_file_is_a_data_error(capsys):
@@ -218,6 +305,7 @@ def test_non_finite_case_data_is_rejected(fixture_case, tmp_path, capsys, sectio
         ("--voltage-weight", "nan"),
         ("--c1", "nan"),
         ("--c2", "inf"),
+        ("--seed", "-1"),
     ],
 )
 def test_search_settings_that_break_the_fitness_are_rejected(fixture_path, capsys, flag, value):

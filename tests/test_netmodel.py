@@ -8,6 +8,8 @@ to side and -y/a off-diagonal.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,57 @@ def test_roundtrip_through_serialization(fixture_case):
     assert again == fixture_case
 
 
+def random_valid_case(seed: int) -> NetworkCase:
+    """A connected case with every record kind, drawn from seed: a slack
+    machine, priced generators, compensators, charged lines, transformers,
+    per-bus voltage bands and a non-default base."""
+    rng = np.random.default_rng(seed)
+
+    def u(lo: float, hi: float) -> float:
+        return float(rng.uniform(lo, hi))
+
+    n = int(rng.integers(3, 12))
+    ids = [int(i) for i in rng.choice(np.arange(1, 1000), size=n, replace=False)]
+    slack = int(rng.integers(n))
+    kinds = ["generator", "compensator", "load"]
+    buses = tuple(
+        Bus(b, "slack" if k == slack else kinds[int(rng.integers(3))], u(0.85, 0.97), u(1.03, 1.15))
+        for k, b in enumerate(ids)
+    )
+    pairs = [(ids[int(rng.integers(k))], ids[k]) for k in range(1, n)]
+    pairs += [tuple(int(b) for b in rng.choice(ids, size=2, replace=False)) for _ in range(n // 2)]
+    tapped = rng.random(len(pairs)) < 0.3
+    # parse_case reads [BRANCH] before [TRANSFORMER], so lines come first
+    branches = tuple(
+        Branch(f, t, u(0.0, 0.05), u(0.02, 0.3), u(0.0, 0.1)) for (f, t), tap in zip(pairs, tapped) if not tap
+    ) + tuple(
+        Branch(f, t, u(0.0, 0.01), u(0.05, 0.3), tap_ratio=u(0.9, 1.1)) for (f, t), tap in zip(pairs, tapped) if tap
+    )
+
+    def generator(bus: int) -> Generator:
+        s_max = u(0.5, 2.0)
+        cost = CostQuadratic(u(0.0, 100.0), u(0.0, 1000.0), u(0.0, 500.0))
+        return Generator(bus, u(0.0, s_max), s_max, u(-s_max, 0.0), u(0.0, s_max), cost, u(0.0, 0.2))
+
+    others = [b for k, b in enumerate(ids) if k != slack]
+    generators = (generator(ids[slack]),) + tuple(generator(int(b)) for b in rng.choice(others, size=2))
+    compensators = tuple(
+        Compensator(int(b), q_min, q_min + u(0.0, 0.5), u(0.0, 0.1))
+        for b, q_min in zip(rng.choice(others, size=2), (0.0, u(0.0, 0.1)))
+    )
+    loads = tuple(Load(int(b), u(0.0, 1.0), u(0.0, 0.5)) for b in rng.choice(ids, size=n))
+    return NetworkCase(u(10.0, 1000.0), buses, branches, generators, compensators, loads)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_valid_cases_roundtrip(seed):
+    case = random_valid_case(seed)
+    assert any(b.is_transformer for b in case.branches)
+    assert any(b.charging_susceptance > 0 for b in case.branches)
+    assert validate_case(case) == []
+    assert parse_case(serialize_case(case)) == case
+
+
 def test_serialize_rejects_tapped_branch_with_charging():
     case = NetworkCase(
         base_mva=100.0,
@@ -155,13 +208,23 @@ def test_validator_reports_bad_limits():
 
 
 def test_validator_rejects_zero_impedance_branch():
-    case = NetworkCase(
-        base_mva=100.0,
-        buses=(Bus(1, "load"), Bus(2, "slack")),
-        branches=(Branch(1, 2, 0.0, 0.0),),
-        loads=(Load(1, 0.1, 0.0),),
-    )
-    assert any("impedance" in p for p in validate_case(case))
+    # A subnormal reactance or a tiny tap makes a Ybus term infinite (1e-310,
+    # 1e-160) or divides by the tap squared, which underflows to zero
+    # (1e-200). A non-finite field is reported once, as itself.
+    for branch, message in [
+        (Branch(1, 2, 0.0, 0.0), "zero impedance"),
+        (Branch(1, 2, math.nan, 0.1), "resistance must be finite, got nan"),
+        (Branch(1, 2, 0.0, 1e-310), "admittance is not finite"),
+        (Branch(1, 2, 0.0, 0.1, tap_ratio=1e-200), "admittance is not finite"),
+        (Branch(1, 2, 0.0, 0.1, tap_ratio=1e-160), "admittance is not finite"),
+    ]:
+        case = NetworkCase(
+            base_mva=100.0,
+            buses=(Bus(1, "load"), Bus(2, "slack")),
+            branches=(branch,),
+            loads=(Load(1, 0.1, 0.0),),
+        )
+        assert [p for p in validate_case(case) if "branch 1-2" in p] == [f"branch 1-2: {message}"]
 
 
 def test_admittance_single_line():

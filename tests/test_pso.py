@@ -58,6 +58,7 @@ def test_params_validate():
         dict(c2=math.inf),
         dict(v_max_fraction=0.0),
         dict(v_max_fraction=1.5),
+        dict(seed=-1),
     ):
         with pytest.raises(ValueError):
             PsoParams(**bad)
