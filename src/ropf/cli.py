@@ -175,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: cannot read case file {exc.filename!r}", file=sys.stderr)
         return EXIT_DATA
     except (CaseError, ValueError) as exc:

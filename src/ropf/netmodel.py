@@ -191,29 +191,62 @@ class AdmittanceMatrix:
     branch_tap: np.ndarray
 
 
-_SECTIONS = (
-    "BASE_MVA",
-    "BUS",
-    "GENERATOR",
-    "COMPENSATOR",
-    "BRANCH",
-    "TRANSFORMER",
-    "LOAD",
+# The five element sections in file order, each as (section, layout, case
+# field, build, values). layout names the record's fields in file order;
+# bus ids (bus, from, to) are read as int and every other field as float.
+# build makes an element from a record's values, and values gives them back,
+# or None for an element the section does not hold. parse_case and
+# serialize_case both read this table, so it is the one home of the format.
+_RECORDS = (
+    (
+        "GENERATOR",
+        "bus p_out s_max q_min q_max a b c k",
+        "generators",
+        lambda bus, p, s, q_min, q_max, a, b, c, k: Generator(
+            bus, p, s, q_min, q_max, CostQuadratic(a, b, c), k
+        ),
+        lambda g: (
+            g.bus, g.p_output, g.s_max, g.q_min, g.q_max, g.cost.a, g.cost.b, g.cost.c, g.profit_rate
+        ),
+    ),
+    (
+        "COMPENSATOR",
+        "bus q_min q_max rate",
+        "compensators",
+        Compensator,
+        lambda c: (c.bus, c.q_min, c.q_max, c.rate),
+    ),
+    (
+        "BRANCH",
+        "from to r x b",
+        "branches",
+        Branch,
+        lambda b: (
+            None if b.is_transformer
+            else (b.from_bus, b.to_bus, b.resistance, b.reactance, b.charging_susceptance)
+        ),
+    ),
+    (
+        "TRANSFORMER",
+        "from to r x tap",
+        "branches",
+        lambda f, t, r, x, tap: Branch(f, t, r, x, tap_ratio=tap),
+        lambda b: (
+            (b.from_bus, b.to_bus, b.resistance, b.reactance, b.tap_ratio)
+            if b.is_transformer else None
+        ),
+    ),
+    ("LOAD", "bus p q", "loads", Load, lambda ld: (ld.bus, ld.p, ld.q)),
 )
+
+_SECTIONS = ("BASE_MVA", "BUS") + tuple(entry[0] for entry in _RECORDS)
 
 _HEADER_RE = re.compile(r"\[([A-Z_]+)\]")
 
 
-def _num(token: str, line: int, what: str) -> float:
+def _read(read, token: str, line: int, what: str):
     try:
-        return float(token)
-    except ValueError:
-        raise CaseError(f"bad {what} {token!r}", line) from None
-
-
-def _int(token: str, line: int, what: str) -> int:
-    try:
-        return int(token)
+        return read(token)
     except ValueError:
         raise CaseError(f"bad {what} {token!r}", line) from None
 
@@ -231,6 +264,10 @@ def parse_case(text: str) -> NetworkCase:
         [BRANCH]       from to r x b
         [TRANSFORMER]  from to r x tap
         [LOAD]         bus p q
+
+    The five element layouts have one home, the module table _RECORDS, which
+    drives this parser and serialize_case alike; a test holds the list above
+    to it.
 
     Raises CaseError with a line number on syntax problems (unknown section,
     stray record, field count, unreadable number), on a declared-but-empty
@@ -268,98 +305,39 @@ def parse_case(text: str) -> NetworkCase:
         lineno, tok = base_rows[0]
         if len(base_rows) != 1 or len(tok) != 1:
             raise CaseError("[BASE_MVA] holds exactly one value", lineno)
-        base_mva = _num(tok[0], lineno, "base MVA")
+        base_mva = _read(float, tok[0], lineno, "base MVA")
 
     buses: list[Bus] = []
     for lineno, tok in rows["BUS"]:
         if len(tok) not in (2, 4):
             raise CaseError("BUS record is 'id kind [v_min v_max]'", lineno)
-        bus_id = _int(tok[0], lineno, "bus id")
+        bus_id = _read(int, tok[0], lineno, "bus id")
         kind = tok[1].lower()
         if len(tok) == 4:
-            v_min = _num(tok[2], lineno, "v_min")
-            v_max = _num(tok[3], lineno, "v_max")
+            v_min = _read(float, tok[2], lineno, "v_min")
+            v_max = _read(float, tok[3], lineno, "v_max")
         else:
             v_min, v_max = DEFAULT_V_MIN, DEFAULT_V_MAX
         buses.append(Bus(bus_id, kind, v_min, v_max))
 
-    generators: list[Generator] = []
-    for lineno, tok in rows["GENERATOR"]:
-        if len(tok) != 9:
-            raise CaseError("GENERATOR record is 'bus p_out s_max q_min q_max a b c k'", lineno)
-        vals = [_num(t, lineno, "generator field") for t in tok[1:]]
-        generators.append(
-            Generator(
-                bus=_int(tok[0], lineno, "bus id"),
-                p_output=vals[0],
-                s_max=vals[1],
-                q_min=vals[2],
-                q_max=vals[3],
-                cost=CostQuadratic(vals[4], vals[5], vals[6]),
-                profit_rate=vals[7],
-            )
-        )
+    elements: dict[str, list] = {entry[2]: [] for entry in _RECORDS}
+    for name, layout, field, build, _ in _RECORDS:
+        fields = layout.split()
+        reads = [int if f in ("bus", "from", "to") else float for f in fields]
+        for lineno, tok in rows[name]:
+            if len(tok) != len(fields):
+                raise CaseError(f"{name} record is '{layout}'", lineno)
+            try:
+                values = [read(t) for read, t in zip(reads, tok)]
+            except ValueError:  # read again field by field to name the bad one
+                values = [_read(read, t, lineno, f) for read, t, f in zip(reads, tok, fields)]
+            elements[field].append(build(*values))
 
-    compensators: list[Compensator] = []
-    for lineno, tok in rows["COMPENSATOR"]:
-        if len(tok) != 4:
-            raise CaseError("COMPENSATOR record is 'bus q_min q_max rate'", lineno)
-        compensators.append(
-            Compensator(
-                bus=_int(tok[0], lineno, "bus id"),
-                q_min=_num(tok[1], lineno, "q_min"),
-                q_max=_num(tok[2], lineno, "q_max"),
-                rate=_num(tok[3], lineno, "rate"),
-            )
-        )
-
-    branches: list[Branch] = []
-    for lineno, tok in rows["BRANCH"]:
-        if len(tok) != 5:
-            raise CaseError("BRANCH record is 'from to r x b'", lineno)
-        branches.append(
-            Branch(
-                from_bus=_int(tok[0], lineno, "bus id"),
-                to_bus=_int(tok[1], lineno, "bus id"),
-                resistance=_num(tok[2], lineno, "resistance"),
-                reactance=_num(tok[3], lineno, "reactance"),
-                charging_susceptance=_num(tok[4], lineno, "susceptance"),
-            )
-        )
-    for lineno, tok in rows["TRANSFORMER"]:
-        if len(tok) != 5:
-            raise CaseError("TRANSFORMER record is 'from to r x tap'", lineno)
-        branches.append(
-            Branch(
-                from_bus=_int(tok[0], lineno, "bus id"),
-                to_bus=_int(tok[1], lineno, "bus id"),
-                resistance=_num(tok[2], lineno, "resistance"),
-                reactance=_num(tok[3], lineno, "reactance"),
-                tap_ratio=_num(tok[4], lineno, "tap ratio"),
-            )
-        )
-
-    loads: list[Load] = []
-    for lineno, tok in rows["LOAD"]:
-        if len(tok) != 3:
-            raise CaseError("LOAD record is 'bus p q'", lineno)
-        load = Load(
-            bus=_int(tok[0], lineno, "bus id"),
-            p=_num(tok[1], lineno, "load p"),
-            q=_num(tok[2], lineno, "load q"),
-        )
+    for (lineno, _), load in zip(rows["LOAD"], elements["loads"]):
         if load.p < 0 or load.q < 0:
             warnings.warn(f"line {lineno}: negative load at bus {load.bus}", stacklevel=2)
-        loads.append(load)
 
-    case = NetworkCase(
-        base_mva=base_mva,
-        buses=tuple(buses),
-        branches=tuple(branches),
-        generators=tuple(generators),
-        compensators=tuple(compensators),
-        loads=tuple(loads),
-    )
+    case = NetworkCase(base_mva, tuple(buses), **{k: tuple(v) for k, v in elements.items()})
     violations = validate_case(case)
     if violations:
         raise CaseError("invalid case: " + "; ".join(violations), violations=tuple(violations))
@@ -367,47 +345,28 @@ def parse_case(text: str) -> NetworkCase:
 
 
 def serialize_case(case: NetworkCase) -> str:
-    """Render a NetworkCase back to case-file text.
+    """Render a NetworkCase back to case-file text. The element sections
+    come from _RECORDS, the format's one home, which parse_case reads too.
 
-    parse_case(serialize_case(case)) reproduces the case exactly: floats are
-    written with repr so they round-trip bit for bit.
+    Floats are written with repr so they round-trip bit for bit. The format
+    lists every [BRANCH] record before every [TRANSFORMER] record, so
+    parse_case(serialize_case(case)) == case when the case's lines come
+    before its transformers; otherwise it holds the same branches, lines
+    first.
     """
+    for b in case.branches:
+        if b.is_transformer and b.charging_susceptance != 0.0:
+            raise CaseError(
+                f"branch {b.from_bus}-{b.to_bus}: the file format cannot "
+                "express both an off-nominal tap and line charging"
+            )
     out: list[str] = ["[BASE_MVA]", f"{case.base_mva!r}", "", "[BUS]"]
     for bus in case.buses:
         out.append(f"{bus.id} {bus.kind} {bus.v_min!r} {bus.v_max!r}")
-    if case.generators:
-        out += ["", "[GENERATOR]"]
-        for g in case.generators:
-            out.append(
-                f"{g.bus} {g.p_output!r} {g.s_max!r} {g.q_min!r} {g.q_max!r} "
-                f"{g.cost.a!r} {g.cost.b!r} {g.cost.c!r} {g.profit_rate!r}"
-            )
-    if case.compensators:
-        out += ["", "[COMPENSATOR]"]
-        for c in case.compensators:
-            out.append(f"{c.bus} {c.q_min!r} {c.q_max!r} {c.rate!r}")
-    lines = [b for b in case.branches if not b.is_transformer]
-    taps = [b for b in case.branches if b.is_transformer]
-    if lines:
-        out += ["", "[BRANCH]"]
-        for b in lines:
-            out.append(
-                f"{b.from_bus} {b.to_bus} {b.resistance!r} {b.reactance!r} "
-                f"{b.charging_susceptance!r}"
-            )
-    if taps:
-        out += ["", "[TRANSFORMER]"]
-        for b in taps:
-            if b.charging_susceptance != 0.0:
-                raise CaseError(
-                    f"branch {b.from_bus}-{b.to_bus}: the file format cannot "
-                    "express both an off-nominal tap and line charging"
-                )
-            out.append(f"{b.from_bus} {b.to_bus} {b.resistance!r} {b.reactance!r} {b.tap_ratio!r}")
-    if case.loads:
-        out += ["", "[LOAD]"]
-        for ld in case.loads:
-            out.append(f"{ld.bus} {ld.p!r} {ld.q!r}")
+    for name, _, field, _, values in _RECORDS:
+        records = [" ".join(map(repr, v)) for v in map(values, getattr(case, field)) if v]
+        if records:
+            out += ["", f"[{name}]", *records]
     return "\n".join(out) + "\n"
 
 
@@ -415,7 +374,7 @@ def validate_case(case: NetworkCase) -> list[str]:
     """Check structural invariants; returns human-readable violations.
 
     An empty list means the case is usable for power-flow and dispatch work.
-    Checks: finite numbers throughout, positive base, unique bus ids,
+    Checks: finite numbers throughout, positive base, unique positive bus ids,
     exactly one slack, sane voltage bands, branch endpoints that exist and
     differ, nonzero branch impedance, positive taps, finite Ybus terms,
     source limits ordered and within capability, referenced buses present,
@@ -445,6 +404,8 @@ def validate_case(case: NetworkCase) -> list[str]:
         if bus.id in seen:
             bad.append(f"duplicate bus id {bus.id}")
         seen.add(bus.id)
+        if bus.id < 1:
+            bad.append(f"bus {bus.id}: id must be positive")
         if bus.kind not in BUS_KINDS:
             bad.append(f"bus {bus.id}: unknown kind {bus.kind!r}")
         if bus.kind == "slack":

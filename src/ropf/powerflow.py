@@ -104,7 +104,6 @@ class PowerFlowSolution:
     p_injected / q_injected are the net injections computed from the final
     voltages; at a converged solution the non-slack entries match the
     specification within tolerance and the slack entries are the balance.
-    total_loss is the network active loss of this state.
     """
 
     v: np.ndarray
@@ -116,7 +115,6 @@ class PowerFlowSolution:
     converged: bool
     p_slack: float
     q_slack: float
-    total_loss: float
 
 
 class StackSolution(NamedTuple):
@@ -350,5 +348,4 @@ def solve_power_flow(
         converged=bool(flows.converged[0]),
         p_slack=float(s_calc.real[slack]),
         q_slack=float(s_calc.imag[slack]),
-        total_loss=float(np.sum(s_calc.real)),
     )

@@ -120,10 +120,12 @@ VALID_CASE = """\
         ("2 0.1 0.02", "9 0.1 0.02", "load at bus 9: unknown bus 9"),
         ("100.0", "0", "base MVA must be positive"),
         ("[BUS]\n1 generator\n2 compensator\n3 slack\n", "", "case has no buses"),
+        ("3 slack\n", "3 slack\n0 load\n", "bus 0: id must be positive"),
     ],
     ids=[
         "duplicate-bus-id", "duplicate-slack", "unknown-kind", "branch-bus", "transformer-bus",
         "generator-bus", "compensator-bus", "load-bus", "base-mva", "no-bus-section",
+        "nonpositive-id",
     ],
 )
 def test_case_file_defects_are_violations(tmp_path, capsys, old, new, message):
@@ -147,6 +149,12 @@ def test_powerflow_rejects_a_tap_that_overflows_ybus(fixture_case, tmp_path, cap
 def test_missing_file_is_a_data_error(capsys):
     assert main(["validate", "does-not-exist.case"]) == 2
     assert "does-not-exist.case" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "powerflow"])
+def test_unreadable_path_is_a_data_error(tmp_path, capsys, command):
+    assert main([command, str(tmp_path)]) == 2
+    assert "error: cannot read case file" in capsys.readouterr().err
 
 
 def test_validate_reports_parse_defects_as_violations(tmp_path, capsys):

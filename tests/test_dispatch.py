@@ -88,7 +88,6 @@ def fake_solution(v):
         converged=True,
         p_slack=0.0,
         q_slack=0.0,
-        total_loss=0.0,
     )
 
 

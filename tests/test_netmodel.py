@@ -9,12 +9,16 @@ to side and -y/a off-diagonal.
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import two_bus_case
 from ropf.netmodel import (
+    _RECORDS,
     Branch,
     Bus,
     CaseError,
@@ -157,6 +161,24 @@ def test_random_valid_cases_roundtrip(seed):
     assert any(b.charging_susceptance > 0 for b in case.branches)
     assert validate_case(case) == []
     assert parse_case(serialize_case(case)) == case
+
+
+def test_serialization_writes_lines_before_transformers():
+    line = Branch(1, 2, 0.01, 0.05, 0.02)
+    tap = Branch(2, 3, 0.0, 0.05, tap_ratio=0.98)
+    buses = (Bus(1, "load"), Bus(2, "load"), Bus(3, "slack"))
+    case = NetworkCase(100.0, buses, (tap, line), loads=(Load(1, 0.1, 0.0),))
+    again = parse_case(serialize_case(case))
+    assert again != case
+    assert again == replace(case, branches=(line, tap))
+
+
+def test_documented_layouts_match_the_record_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    formats = (parse_case.__doc__, readme.split("## Case file format", 1)[1].split("\n## ", 1)[0])
+    for name, layout, *_ in _RECORDS:
+        for text in formats:
+            assert re.search(rf"^ *\[{name}\] +{re.escape(layout)}( {{2,}}|$)", text, re.M), (name, text)
 
 
 def test_serialize_rejects_tapped_branch_with_charging():
