@@ -1,7 +1,6 @@
 """Reactive power dispatch and pricing over an AC power flow."""
 
 from .costmodel import (
-    ReactiveCostBreakdown,
     compensator_cost,
     depreciation_rate,
     generator_opportunity_cost,

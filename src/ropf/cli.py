@@ -128,11 +128,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_powerflow(args: argparse.Namespace) -> int:
     case = _load_case(args.case_path)
-    try:
-        solution, loss = baseline_loss(case)
-    except DispatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    solution, loss = baseline_loss(case)
     body = {
         "bus_ids": [b.id for b in case.buses],
         "bus_voltages_pu": [float(x) for x in solution.v],

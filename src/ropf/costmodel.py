@@ -11,7 +11,6 @@ elementwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +18,6 @@ import numpy as np
 from .netmodel import Compensator, Generator, NetworkCase
 
 __all__ = [
-    "ReactiveCostBreakdown",
     "compensator_cost",
     "depreciation_rate",
     "dispatchable_generators",
@@ -76,49 +74,28 @@ def dispatchable_generators(case: NetworkCase) -> tuple[Generator, ...]:
     return tuple(g for g in case.generators if g.bus != slack_id)
 
 
-@dataclass(frozen=True)
-class ReactiveCostBreakdown:
-    """Per-source reactive support costs, $/h. total is their sum, taken
-    left to right in source order (arrays when the outputs are arrays)."""
-
-    generator_costs: tuple[float | np.ndarray, ...]
-    compensator_costs: tuple[float | np.ndarray, ...]
-    total: float | np.ndarray
-
-
 def total_reactive_cost(
-    case: NetworkCase,
-    q_generators: Sequence[float | np.ndarray],
-    q_compensators: Sequence[float | np.ndarray],
-) -> ReactiveCostBreakdown:
-    """Objective value of a reactive dispatch: sum of all source costs.
+    case: NetworkCase, q: Sequence[float | np.ndarray]
+) -> tuple[float | np.ndarray, ...]:
+    """Per-source reactive support costs of a dispatch, $/h, in source order.
 
-    q_generators pairs with the non-slack generators in case order,
-    q_compensators with the compensators in case order. Each output must
-    lie within its source limits. Each output may be an array of
-    outputs, one per swarm member, all of one shape.
+    q holds one output per source in the decision vector's order: the
+    non-slack generators, then the compensators, both in case order. Each
+    output must lie within its source limits and may be an array of outputs,
+    one per swarm member, all of one shape (the columns of an (S, D) swarm,
+    x.T). The objective value is the sum of the costs, taken left to right.
     """
     gens = dispatchable_generators(case)
-    if len(q_generators) != len(gens):
-        raise ValueError(f"expected {len(gens)} generator outputs, got {len(q_generators)}")
-    if len(q_compensators) != len(case.compensators):
-        raise ValueError(
-            f"expected {len(case.compensators)} compensator outputs, got {len(q_compensators)}"
-        )
-    gen_costs = []
-    for gen, q in zip(gens, q_generators):
-        if np.any((q < gen.q_min - 1e-12) | (q > gen.q_max + 1e-12)):
+    n_sources = len(gens) + len(case.compensators)
+    if len(q) != n_sources:
+        raise ValueError(f"expected {n_sources} source outputs, got {len(q)}")
+    costs = []
+    for gen, q_gen in zip(gens, q):
+        if np.any((q_gen < gen.q_min - 1e-12) | (q_gen > gen.q_max + 1e-12)):
             raise ValueError(
-                f"generator at bus {gen.bus}: q = {q} outside [{gen.q_min}, {gen.q_max}]"
+                f"generator at bus {gen.bus}: q = {q_gen} outside [{gen.q_min}, {gen.q_max}]"
             )
-        gen_costs.append(generator_opportunity_cost(gen, q))
-    comp_costs = [
-        compensator_cost(comp, q, case.base_mva)
-        for comp, q in zip(case.compensators, q_compensators)
-    ]
-    parts = gen_costs + comp_costs
-    return ReactiveCostBreakdown(
-        generator_costs=tuple(gen_costs),
-        compensator_costs=tuple(comp_costs),
-        total=sum(parts, 0.0),
-    )
+        costs.append(generator_opportunity_cost(gen, q_gen))
+    for comp, q_comp in zip(case.compensators, q[len(gens):]):
+        costs.append(compensator_cost(comp, q_comp, case.base_mva))
+    return tuple(costs)

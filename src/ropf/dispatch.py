@@ -55,6 +55,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# Large enough to dominate any plausible feasible cost, so the swarm ranks
+# every converged point above every non-converged one.
+NONCONVERGENCE_PENALTY = 1e6
+
 
 class DispatchError(RuntimeError):
     """A dispatch step failed in a way the optimizer cannot absorb."""
@@ -88,19 +92,17 @@ class DecisionVector:
 class PenaltyConfig:
     """Exterior penalty shaping for the fitness function.
 
-    voltage_weight scales the quadratic band-violation terms; the
-    nonconvergence penalty is a constant large enough to dominate any
-    plausible feasible cost. Both must be finite and nonnegative.
+    voltage_weight scales the quadratic band-violation terms; it must be
+    finite and nonnegative. A non-converged flow adds NONCONVERGENCE_PENALTY.
     """
 
     voltage_weight: float = 1e4
-    nonconvergence_penalty: float = 1e6
 
     def __post_init__(self):
-        for name in ("voltage_weight", "nonconvergence_penalty"):
-            value = getattr(self, name)
-            if not 0.0 <= value < np.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        if not 0.0 <= self.voltage_weight < np.inf:
+            raise ValueError(
+                f"voltage_weight must be finite and nonnegative, got {self.voltage_weight}"
+            )
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,6 @@ class RopfReport:
     convergence_history: tuple[float, ...]
     seed: int
     params: PsoParams
-    penalties: PenaltyConfig
     bus_ids: tuple[int, ...]
     bus_voltages: tuple[float, ...]
     bus_angles: tuple[float, ...]
@@ -238,24 +239,18 @@ class DispatchProblem:
     ybus: AdmittanceMatrix
     base: InjectionSpec
     positions: np.ndarray
-    n_generators: int
     v_min: np.ndarray
     v_max: np.ndarray
     penalties: PenaltyConfig
 
 
-def compile_problem(
-    case: NetworkCase,
-    penalties: PenaltyConfig | None = None,
-    ybus: AdmittanceMatrix | None = None,
-) -> DispatchProblem:
+def compile_problem(case: NetworkCase, penalties: PenaltyConfig | None = None) -> DispatchProblem:
     """Everything the fitness needs from a case, as arrays built once."""
     return DispatchProblem(
         case=case,
-        ybus=build_admittance(case) if ybus is None else ybus,
+        ybus=build_admittance(case),
         base=build_injections(case),
         positions=_source_positions(case),
-        n_generators=len(dispatchable_generators(case)),
         v_min=np.array([b.v_min for b in case.buses]),
         v_max=np.array([b.v_max for b in case.buses]),
         penalties=penalties or PenaltyConfig(),
@@ -273,7 +268,7 @@ def swarm_fitness(
     Each row is scored as if alone, so a stack gives the values its
     members would give one by one. A row whose ceiling (shape (S,), the
     value it must beat, such as a particle's personal best) is no higher
-    than its cost plus nonconvergence_penalty, the least a non-converged
+    than its cost plus NONCONVERGENCE_PENALTY, the least a non-converged
     flow scores, can only matter by converging: its flow gives up after
     QUICK_CAP Newton steps. Values below their ceiling are the ceiling-free
     values bit for bit; the others are at least their ceiling.
@@ -283,17 +278,16 @@ def swarm_fitness(
         raise ValueError(
             f"expected an (S, {problem.positions.size}) array of decisions, got shape {x.shape}"
         )
-    split = problem.n_generators
-    costs = total_reactive_cost(problem.case, list(x[:, :split].T), list(x[:, split:].T))
+    cost = sum(total_reactive_cost(problem.case, x.T), 0.0)
     base = problem.base
     q = np.repeat(base.q[None, :], len(x), axis=0)
     _add_source_outputs(q, problem.positions, x)
     spec = InjectionSpec(np.broadcast_to(base.p, q.shape), q, base.roles, base.v_setpoint)
-    pen = problem.penalties
-    quick = None if ceiling is None else ceiling <= costs.total + pen.nonconvergence_penalty
+    quick = None if ceiling is None else ceiling <= cost + NONCONVERGENCE_PENALTY
     flows = solve_stack(spec, problem.ybus, quick=quick)
-    value = costs.total + pen.voltage_weight * _band_violation(flows.v, problem.v_min, problem.v_max)
-    value[~flows.converged] += pen.nonconvergence_penalty
+    weight = problem.penalties.voltage_weight
+    value = cost + weight * _band_violation(flows.v, problem.v_min, problem.v_max)
+    value[~flows.converged] += NONCONVERGENCE_PENALTY
     return value
 
 
@@ -301,13 +295,12 @@ def evaluate_fitness(
     case: NetworkCase,
     decision: DecisionVector,
     penalties: PenaltyConfig | None = None,
-    ybus: AdmittanceMatrix | None = None,
 ) -> float:
     """Objective cost plus exterior penalties at one decision: swarm_fitness
     on a stack of one."""
     if len(decision.q_generators) != len(dispatchable_generators(case)):
         raise ValueError("decision vector does not match the case sources")
-    problem = compile_problem(case, penalties, ybus)
+    problem = compile_problem(case, penalties)
     return float(swarm_fitness(problem, decision.as_array()[None, :])[0])
 
 
@@ -341,8 +334,7 @@ def run_ropf(
     pinned decision is evaluated directly.
     """
     params = params or PsoParams()
-    pen = penalties or PenaltyConfig()
-    problem = compile_problem(case, pen)
+    problem = compile_problem(case, penalties)
     ybus = problem.ybus
 
     _, loss_before = baseline_loss(case, ybus)
@@ -380,7 +372,8 @@ def run_ropf(
     decision = DecisionVector.from_array(case, assemble(position[None, :])[0])
 
     solution = solve_power_flow(case, build_injections(case, decision), ybus)
-    costs = total_reactive_cost(case, decision.q_generators, decision.q_compensators)
+    q = decision.q_generators + decision.q_compensators
+    costs = total_reactive_cost(case, q)
     residual_penalty = voltage_penalty(solution, case)
     feasible = solution.converged and residual_penalty == 0.0
     if not feasible:
@@ -401,13 +394,12 @@ def run_ropf(
         if alt.converged:
             loss_before_alt = total_losses(alt, case, ybus)
 
-    per_source = costs.generator_costs + costs.compensator_costs
     return RopfReport(
         source_kinds=kinds,
         source_buses=buses,
-        var_requirements=decision.q_generators + decision.q_compensators,
-        cost_per_source=per_source,
-        total_payment=float(sum(per_source)),
+        var_requirements=q,
+        cost_per_source=costs,
+        total_payment=float(sum(costs)),
         loss_before=loss_before,
         loss_after=total_losses(solution, case, ybus),
         loss_before_alt=loss_before_alt,
@@ -417,7 +409,6 @@ def run_ropf(
         convergence_history=tuple(history),
         seed=params.seed,
         params=params,
-        penalties=pen,
         bus_ids=tuple(b.id for b in case.buses),
         bus_voltages=tuple(float(x) for x in solution.v),
         bus_angles=tuple(float(x) for x in solution.delta),
@@ -567,17 +558,8 @@ def render_text(report: RopfReport, payments: Payments | None = None) -> str:
     if payments is not None:
         out.append("")
         out.append("settled payments ($/h)")
-        gen_buses = [
-            bus for bus, kind in zip(report.source_buses, report.source_kinds)
-            if kind == "generator"
-        ]
-        comp_buses = [
-            bus for bus, kind in zip(report.source_buses, report.source_kinds)
-            if kind == "compensator"
-        ]
-        for bus, pay in zip(gen_buses, payments.generator_payments):
-            out.append(f"  generator bus {bus:<4} {pay:>10.4f}")
-        for bus, pay in zip(comp_buses, payments.compensator_payments):
-            out.append(f"  compensator bus {bus:<4} {pay:>10.4f}")
+        paid = payments.generator_payments + payments.compensator_payments
+        for kind, bus, pay in zip(report.source_kinds, report.source_buses, paid):
+            out.append(f"  {kind} bus {bus:<4} {pay:>10.4f}")
         out.append(f"  total {payments.total:>10.4f}")
     return "\n".join(out) + "\n"

@@ -244,6 +244,11 @@ _SECTIONS = ("BASE_MVA", "BUS") + tuple(entry[0] for entry in _RECORDS)
 _HEADER_RE = re.compile(r"\[([A-Z_]+)\]")
 
 
+def _readers(layout: str) -> list:
+    """How each field of a record layout is read: bus ids as int, the rest as float."""
+    return [int if f in ("bus", "from", "to") else float for f in layout.split()]
+
+
 def _read(read, token: str, line: int, what: str):
     try:
         return read(token)
@@ -322,8 +327,7 @@ def parse_case(text: str) -> NetworkCase:
 
     elements: dict[str, list] = {entry[2]: [] for entry in _RECORDS}
     for name, layout, field, build, _ in _RECORDS:
-        fields = layout.split()
-        reads = [int if f in ("bus", "from", "to") else float for f in fields]
+        fields, reads = layout.split(), _readers(layout)
         for lineno, tok in rows[name]:
             if len(tok) != len(fields):
                 raise CaseError(f"{name} record is '{layout}'", lineno)
@@ -348,7 +352,9 @@ def serialize_case(case: NetworkCase) -> str:
     """Render a NetworkCase back to case-file text. The element sections
     come from _RECORDS, the format's one home, which parse_case reads too.
 
-    Floats are written with repr so they round-trip bit for bit. The format
+    Each value goes through its field's reader (int for bus ids, float
+    otherwise) and is written with repr, so numpy scalars come out as plain
+    numbers and floats round-trip bit for bit. The format
     lists every [BRANCH] record before every [TRANSFORMER] record, so
     parse_case(serialize_case(case)) == case when the case's lines come
     before its transformers; otherwise it holds the same branches, lines
@@ -360,11 +366,16 @@ def serialize_case(case: NetworkCase) -> str:
                 f"branch {b.from_bus}-{b.to_bus}: the file format cannot "
                 "express both an off-nominal tap and line charging"
             )
-    out: list[str] = ["[BASE_MVA]", f"{case.base_mva!r}", "", "[BUS]"]
+    out: list[str] = ["[BASE_MVA]", repr(float(case.base_mva)), "", "[BUS]"]
     for bus in case.buses:
-        out.append(f"{bus.id} {bus.kind} {bus.v_min!r} {bus.v_max!r}")
-    for name, _, field, _, values in _RECORDS:
-        records = [" ".join(map(repr, v)) for v in map(values, getattr(case, field)) if v]
+        out.append(f"{int(bus.id)} {bus.kind} {float(bus.v_min)!r} {float(bus.v_max)!r}")
+    for name, layout, field, _, values in _RECORDS:
+        reads = _readers(layout)
+        records = [
+            " ".join([repr(read(x)) for read, x in zip(reads, v)])
+            for v in map(values, getattr(case, field))
+            if v
+        ]
         if records:
             out += ["", f"[{name}]", *records]
     return "\n".join(out) + "\n"
@@ -374,7 +385,7 @@ def validate_case(case: NetworkCase) -> list[str]:
     """Check structural invariants; returns human-readable violations.
 
     An empty list means the case is usable for power-flow and dispatch work.
-    Checks: finite numbers throughout, positive base, unique positive bus ids,
+    Checks: finite numbers throughout, positive base, unique positive integer bus ids,
     exactly one slack, sane voltage bands, branch endpoints that exist and
     differ, nonzero branch impedance, positive taps, finite Ybus terms,
     source limits ordered and within capability, referenced buses present,
@@ -406,6 +417,8 @@ def validate_case(case: NetworkCase) -> list[str]:
         seen.add(bus.id)
         if bus.id < 1:
             bad.append(f"bus {bus.id}: id must be positive")
+        elif bus.id % 1 > 0:
+            bad.append(f"bus {bus.id}: id must be an integer")
         if bus.kind not in BUS_KINDS:
             bad.append(f"bus {bus.id}: unknown kind {bus.kind!r}")
         if bus.kind == "slack":

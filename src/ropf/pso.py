@@ -40,6 +40,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# A particle moves at most half its box's width per step in each dimension.
+V_MAX_FRACTION = 0.5
+
 SwarmFitness = Callable[[np.ndarray], np.ndarray]
 Bounds = Sequence[tuple[float, float]]
 
@@ -54,7 +57,6 @@ class PsoParams:
     w_end: float = 0.9
     c1: float = 2.0
     c2: float = 2.0
-    v_max_fraction: float = 0.5
     seed: int = 1
 
     def __post_init__(self):
@@ -68,8 +70,6 @@ class PsoParams:
                 raise ValueError(f"{name} must be in [0, 2], got {w}")
         if not (0.0 <= self.c1 < math.inf and 0.0 <= self.c2 < math.inf):
             raise ValueError("acceleration coefficients must be finite and nonnegative")
-        if not 0.0 < self.v_max_fraction <= 1.0:
-            raise ValueError(f"v_max_fraction must be in (0, 1], got {self.v_max_fraction}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -157,7 +157,7 @@ def optimize(fitness: SwarmFitness, bounds: Bounds, params: PsoParams) -> PsoRes
     logged, not fatal.
     """
     lower, upper = _check_bounds(bounds)
-    v_max = params.v_max_fraction * (upper - lower)
+    v_max = V_MAX_FRACTION * (upper - lower)
     rngs = [_particle_rng(params.seed, i) for i in range(params.swarm_size)]
     u_position, u_velocity = _draw_pairs(rngs, lower.size)
     position = lower + u_position * (upper - lower)

@@ -14,7 +14,7 @@ import re
 
 import pytest
 
-from conftest import compensated_case
+from conftest import compensated_case, two_bus_case
 from ropf.cli import build_parser, main
 from ropf.netmodel import CaseError, parse_case, serialize_case, validate_case
 
@@ -144,6 +144,12 @@ def test_powerflow_rejects_a_tap_that_overflows_ybus(fixture_case, tmp_path, cap
     path = write_case(tmp_path, _spoil(fixture_case, "branches", "tap_ratio", 1e-200))
     assert main(["powerflow", path]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_powerflow_without_a_solution_exits_3(tmp_path, capsys):
+    path = write_case(tmp_path, two_bus_case(p_load=100.0))
+    assert main(["powerflow", path]) == 3
+    assert capsys.readouterr().err.startswith("error: baseline power flow did not converge")
 
 
 def test_missing_file_is_a_data_error(capsys):

@@ -22,13 +22,13 @@ import pytest
 
 from conftest import QUADRATIC, compensated_case
 from ropf.costmodel import (
-    ReactiveCostBreakdown,
     compensator_cost,
     depreciation_rate,
     dispatchable_generators,
     generator_opportunity_cost,
     total_reactive_cost,
 )
+from ropf.dispatch import decision_bounds, unity_power_factor_case
 from ropf.netmodel import Bus, Branch, Compensator, Generator, NetworkCase
 
 STUDY_GEN = Generator(1, 0.74, 0.9, -0.5, 0.4, QUADRATIC, 0.07)
@@ -161,12 +161,17 @@ def test_dispatchable_excludes_slack_machine():
 
 
 def test_total_cost_breakdown_additivity(fixture_case):
-    breakdown = total_reactive_cost(fixture_case, (0.1, 0.05), (0.2, 0.3))
-    assert isinstance(breakdown, ReactiveCostBreakdown)
-    parts = breakdown.generator_costs + breakdown.compensator_costs
-    assert breakdown.total == pytest.approx(sum(parts), abs=1e-15)
-    assert len(breakdown.generator_costs) == 2
-    assert len(breakdown.compensator_costs) == 2
+    # one cost per source, non-slack generators first, then compensators
+    costs = total_reactive_cost(fixture_case, (0.1, 0.05, 0.2, 0.3))
+    assert isinstance(costs, tuple)
+    gens = dispatchable_generators(fixture_case)
+    comps = fixture_case.compensators
+    assert costs == (
+        generator_opportunity_cost(gens[0], 0.1),
+        generator_opportunity_cost(gens[1], 0.05),
+        compensator_cost(comps[0], 0.2, fixture_case.base_mva),
+        compensator_cost(comps[1], 0.3, fixture_case.base_mva),
+    )
 
 
 def test_total_cost_study_dispatch_vector(fixture_case):
@@ -183,28 +188,44 @@ def test_total_cost_study_dispatch_vector(fixture_case):
         ),
         loads=case.loads,
     )
-    breakdown = total_reactive_cost(wide, (0.12, 0.07), (0.17, 0.56))
-    assert breakdown.generator_costs[0] == pytest.approx(0.8754834459466998, rel=1e-12)
-    assert breakdown.generator_costs[1] == pytest.approx(0.29748346230721157, rel=1e-12)
-    assert breakdown.compensator_costs[0] == pytest.approx(0.6018, abs=1e-12)
-    assert breakdown.compensator_costs[1] == pytest.approx(1.9824, abs=1e-12)
-    assert breakdown.total == pytest.approx(3.757166908253912, rel=1e-12)
+    costs = total_reactive_cost(wide, (0.12, 0.07, 0.17, 0.56))
+    assert costs[0] == pytest.approx(0.8754834459466998, rel=1e-12)
+    assert costs[1] == pytest.approx(0.29748346230721157, rel=1e-12)
+    assert costs[2] == pytest.approx(0.6018, abs=1e-12)
+    assert costs[3] == pytest.approx(1.9824, abs=1e-12)
+    assert sum(costs, 0.0) == pytest.approx(3.757166908253912, rel=1e-12)
 
 
 def test_total_cost_validates_lengths_and_limits(fixture_case):
-    with pytest.raises(ValueError, match="generator outputs"):
-        total_reactive_cost(fixture_case, (0.1,), (0.1, 0.1))
-    with pytest.raises(ValueError, match="compensator outputs"):
-        total_reactive_cost(fixture_case, (0.1, 0.1), (0.1,))
-    with pytest.raises(ValueError, match="outside"):
-        total_reactive_cost(fixture_case, (0.1, 0.9), (0.1, 0.1))
+    with pytest.raises(ValueError, match="expected 4 source outputs, got 3"):
+        total_reactive_cost(fixture_case, (0.1, 0.1, 0.1))
+    with pytest.raises(ValueError, match="generator at bus .* outside"):
+        total_reactive_cost(fixture_case, (0.1, 0.9, 0.1, 0.1))
+    with pytest.raises(ValueError, match="compensator at bus .* outside"):
+        total_reactive_cost(fixture_case, (0.1, 0.1, 0.1, 0.9))
 
 
 def test_breakdown_on_compensated_chain():
     case = compensated_case()
-    breakdown = total_reactive_cost(case, (0.1,), (0.15,))
+    costs = total_reactive_cost(case, (0.1, 0.15))
+    assert len(costs) == 2
     expect_comp = 0.0354 * 0.15 * 100.0
-    assert breakdown.compensator_costs[0] == pytest.approx(expect_comp, rel=1e-12)
+    assert costs[1] == pytest.approx(expect_comp, rel=1e-12)
     s = case.generators[0].s_max
     gap = QUADRATIC(s) - QUADRATIC(math.sqrt(s * s - 0.1 * 0.1))
-    assert breakdown.generator_costs[0] == pytest.approx(gap * 0.07, rel=1e-12)
+    assert costs[0] == pytest.approx(gap * 0.07, rel=1e-12)
+
+
+@pytest.mark.parametrize("unity", [False, True], ids=["bundled", "unity-power-factor"])
+def test_swarm_columns_cost_what_each_row_costs_alone(fixture_case, unity):
+    # swarm_fitness prices the columns of a swarm, run_ropf one decision of
+    # Python floats; both must give the same bits, per source and summed
+    case = unity_power_factor_case(fixture_case) if unity else fixture_case
+    lower, upper = np.array(decision_bounds(case)).T
+    x = lower + np.random.default_rng(41).uniform(size=(200, lower.size)) * (upper - lower)
+    columns = total_reactive_cost(case, x.T)
+    total = sum(columns, 0.0)
+    for k, row in enumerate(x):
+        alone = total_reactive_cost(case, tuple(map(float, row)))
+        assert tuple(c[k] for c in columns) == alone
+        assert total[k] == sum(alone, 0.0)

@@ -66,7 +66,6 @@ def mk_report(kinds, buses, costs, **overrides):
         convergence_history=(float(sum(costs)),),
         seed=1,
         params=PsoParams(),
-        penalties=PenaltyConfig(),
         bus_ids=(1, 2, 3),
         bus_voltages=(1.0, 1.0, 1.0),
         bus_angles=(0.0, 0.0, 0.0),
@@ -146,7 +145,7 @@ def test_fitness_is_pure_cost_when_feasible():
     case = compensated_case()
     assert evaluate_fitness(case, DecisionVector((0.0,), (0.0,))) == 0.0
     decision = DecisionVector((0.1,), (0.05,))
-    expect = total_reactive_cost(case, (0.1,), (0.05,)).total
+    expect = sum(total_reactive_cost(case, (0.1, 0.05)), 0.0)
     assert evaluate_fitness(case, decision) == pytest.approx(expect, rel=1e-12)
 
 
@@ -210,10 +209,9 @@ def test_a_ceiling_changes_no_value_below_it(fixture_case):
     lower, upper = np.array(decision_bounds(fixture_case)).T
     points = lower + np.random.default_rng(29).uniform(size=(600, lower.size)) * (upper - lower)
     exact = swarm_fitness(problem, points)
-    split = problem.n_generators
-    costs = total_reactive_cost(fixture_case, list(points[:, :split].T), list(points[:, split:].T)).total
+    costs = sum(total_reactive_cost(fixture_case, points.T), 0.0)
     choice = np.arange(len(points)) % 3
-    least_unconverged = costs + problem.penalties.nonconvergence_penalty
+    least_unconverged = costs + dispatch.NONCONVERGENCE_PENALTY
     ceiling = np.choose(choice, [np.full(len(points), np.inf), exact, least_unconverged])
 
     value = swarm_fitness(problem, points, ceiling)
@@ -256,9 +254,6 @@ def test_run_ropf_equals_the_exact_fitness_search(fixture_case, monkeypatch, uni
         ("voltage_weight", -1.0),
         ("voltage_weight", np.inf),
         ("voltage_weight", np.nan),
-        ("nonconvergence_penalty", -1e6),
-        ("nonconvergence_penalty", np.inf),
-        ("nonconvergence_penalty", np.nan),
     ],
 )
 def test_penalties_must_be_finite_and_nonnegative(field, value):
@@ -452,3 +447,5 @@ def test_render_text_mentions_the_essentials():
     text = render_text(report, allocate_payments(report, duty))
     for needle in ("generator", "compensator", "loss", "feasible", "total"):
         assert needle in text.lower()
+    # one payment line per source, in source order
+    assert "\n  generator bus 1        2.0000\n  compensator bus 3        2.0000\n" in text

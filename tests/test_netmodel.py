@@ -163,6 +163,35 @@ def test_random_valid_cases_roundtrip(seed):
     assert parse_case(serialize_case(case)) == case
 
 
+def test_numpy_scalars_serialize_as_plain_numbers():
+    f = np.float64
+    case = NetworkCase(
+        f(100.0),
+        (Bus(np.int64(1), "load", f(0.94), f(1.06)), Bus(2, "slack")),
+        (Branch(1, 2, 0.0, 0.1),),
+        loads=(Load(np.int64(1), f(0.5), 0.0),),
+    )
+    assert validate_case(case) == []
+    text = serialize_case(case)
+    assert "np." not in text
+    assert parse_case(text) == case
+
+
+def test_validator_rejects_fractional_bus_id():
+    # the writer reads bus ids with int, which would turn bus 1.5 into bus 1
+    def case(bus_id):
+        return NetworkCase(
+            100.0,
+            (Bus(bus_id, "load"), Bus(2, "slack")),
+            (Branch(bus_id, 2, 0.0, 0.1),),
+            loads=(Load(bus_id, 0.5, 0.0),),
+        )
+
+    assert validate_case(case(1.5)) == ["bus 1.5: id must be an integer"]
+    assert validate_case(case(1.0)) == []
+    assert parse_case(serialize_case(case(1.0))) == case(1)
+
+
 def test_serialization_writes_lines_before_transformers():
     line = Branch(1, 2, 0.01, 0.05, 0.02)
     tap = Branch(2, 3, 0.0, 0.05, tap_ratio=0.98)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from ropf.pso import (
+    V_MAX_FRACTION,
     PsoParams,
     clamp_velocity,
     inertia_weight,
@@ -56,8 +57,6 @@ def test_params_validate():
         dict(c1=-1.0),
         dict(c1=math.nan),
         dict(c2=math.inf),
-        dict(v_max_fraction=0.0),
-        dict(v_max_fraction=1.5),
         dict(seed=-1),
     ):
         with pytest.raises(ValueError):
@@ -148,7 +147,7 @@ def test_positions_and_velocities_respect_limits_every_iteration():
     params = PsoParams(swarm_size=8, max_iterations=40, seed=3)
     lower = np.array([b[0] for b in bounds])
     upper = np.array([b[1] for b in bounds])
-    v_max = params.v_max_fraction * (upper - lower)
+    v_max = V_MAX_FRACTION * (upper - lower)
     recorder = Recorder(sphere)
     optimize(recorder, bounds, params)
     # one swarm-wide call for the start and one per iteration
