@@ -270,8 +270,12 @@ def swarm_fitness(
     value it must beat, such as a particle's personal best) is no higher
     than its cost plus NONCONVERGENCE_PENALTY, the least a non-converged
     flow scores, can only matter by converging: its flow gives up after
-    QUICK_CAP Newton steps. Values below their ceiling are the ceiling-free
-    values bit for bit; the others are at least their ceiling.
+    QUICK_CAP Newton steps, or earlier when its residual rises after the
+    first step (`solve_stack`). Values below their ceiling are the
+    ceiling-free values bit for bit; the others are at least their
+    ceiling. So the ceiling changes no value that beats it as long as every
+    flow that converges does so within QUICK_CAP steps and with a residual
+    that rises at step 1 at most.
     """
     x = np.asarray(decisions, dtype=float)
     if x.ndim != 2 or x.shape[1] != problem.positions.size:

@@ -19,7 +19,11 @@ on a stack of one. Every member's arithmetic is the one a lone solve does
 (one matrix-vector product per member, elementwise Jacobian terms, one
 LAPACK solve per member), so a member's result does not depend on the rest
 of its stack. A member whose caller only needs its convergence can be
-flagged to give up after QUICK_CAP steps.
+flagged to give up early: at the first step after step 1 whose largest
+residual is above the one before, or after QUICK_CAP steps. The residual
+may rise at step 1, Newton's overshoot from the flat start; a later rise
+marks a flow that diverges or wanders (a residual form of Deuflhard's
+monotonicity test for Newton divergence).
 """
 
 from __future__ import annotations
@@ -46,7 +50,9 @@ __all__ = [
 
 # A solve converges when its largest residual reaches TOLERANCE and gives
 # up after MAX_ITERATIONS Newton steps, a flagged stack member after
-# QUICK_CAP (converging flows of the bundled decision box take at most 10).
+# QUICK_CAP or at an earlier residual rise (converging flows of the bundled
+# decision box take at most 10 steps, and their residual rises at step 1
+# only).
 TOLERANCE = 1e-6
 MAX_ITERATIONS = 50
 QUICK_CAP = 15
@@ -252,11 +258,16 @@ def solve_stack(
     Voltage magnitudes of the slack and PV buses are held at their
     setpoints; the slack angle is zero. A member stops as converged when
     its residual norm reaches TOLERANCE, and as not converged after
-    MAX_ITERATIONS steps (QUICK_CAP steps for members flagged in the
-    boolean mask quick, shape (S,)), or when its Newton step is singular or
+    MAX_ITERATIONS steps, or when its Newton step is singular or
     non-finite or would leave a non-finite or non-positive voltage
-    magnitude; it then keeps its last usable state. The other members are
-    unaffected.
+    magnitude; it then keeps its last usable state. A member flagged in
+    the boolean mask quick, shape (S,), also stops as not converged after
+    QUICK_CAP steps, or earlier at the first step k >= 2 whose residual
+    norm is above that of step k - 1. That spares the steps of a flow
+    that will not converge, and it changes no converging flow as long as
+    those, like every converging flow of the bundled decision box, need
+    at most QUICK_CAP steps and never rise after step 1. The other
+    members are unaffected.
     """
     roles = spec.roles
     if ybus.n != roles.size:
@@ -281,19 +292,22 @@ def solve_stack(
     iterations = np.zeros(shape[0], dtype=int)
     max_mismatch = np.full(shape[0], np.inf)
     converged = np.zeros(shape[0], dtype=bool)
-    cap = np.full(shape[0], MAX_ITERATIONS)
+    flagged = np.zeros(shape[0], dtype=bool)
     if quick is not None:
-        cap[np.asarray(quick, dtype=bool)] = QUICK_CAP
+        flagged[:] = quick
+    cap = np.where(flagged, QUICK_CAP, MAX_ITERATIONS)
     active = np.arange(shape[0])
     while active.size:
         v_now, delta_now = v[active], delta[active]
         dp, dq = compute_mismatch(v_now, delta_now, p[active], q[active], ybus)
         residual = np.concatenate([dp[:, pvpq], dq[:, pq]], axis=1)
         worst = np.max(np.abs(residual), axis=1, initial=0.0)
-        max_mismatch[active] = worst
         done = worst <= TOLERANCE
         converged[active[done]] = True
-        stepping = ~done & (iterations[active] < cap[active])
+        # max_mismatch still holds each member's residual of the step before
+        rising = flagged[active] & (iterations[active] >= 2) & (worst > max_mismatch[active])
+        max_mismatch[active] = worst
+        stepping = ~done & ~rising & (iterations[active] < cap[active])
         if not stepping.any():
             break
         active, v_now, delta_now = active[stepping], v_now[stepping], delta_now[stepping]

@@ -5,10 +5,12 @@ Velocity update per particle:
     v <- w * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x)
 
 with r1, r2 fresh uniform draws per dimension, velocities clamped to a
-fraction of each dimension's range, and positions clamped to the bounds
-(absorbing walls). The swarm's state is a set of (S, D) arrays, one row per
-particle, updated synchronously: every particle of an iteration pulls
-toward the global best as it stood when the iteration began.
+fraction of each dimension's range, and positions clipped to the bounds.
+A particle clipped at a wall keeps its velocity, so the walls do not
+absorb it; the next update starts from that velocity. The swarm's state
+is a set of (S, D) arrays, one row per particle, updated synchronously:
+every particle of an iteration pulls toward the global best as it stood
+when the iteration began.
 
 The fitness function scores the whole swarm at once: it takes the
 positions as an (S, D) array and returns S values, NaN counting as worst.

@@ -20,6 +20,7 @@ import pytest
 
 from conftest import two_bus_case
 from ropf.dispatch import DecisionVector, build_injections, decision_bounds, unity_power_factor_case
+from ropf import powerflow
 from ropf.netmodel import Branch, Bus, Load, NetworkCase, build_admittance
 from ropf.powerflow import (
     MAX_ITERATIONS,
@@ -283,16 +284,116 @@ def test_converging_box_flows_need_no_more_than_the_quick_cap(fixture_case, unit
     assert np.max(flows.iterations[~flows.converged]) == MAX_ITERATIONS
 
 
-def test_quick_members_stop_at_the_quick_cap_and_leave_the_rest_bitwise(fixture_case):
-    # Member 0 runs to the iteration cap when alone; the members are
-    # flagged and not flagged in turn.
+@pytest.mark.parametrize("unity", [False, True], ids=["bundled", "unity-power-factor"])
+def test_flagging_every_box_flow_changes_no_converging_flow(fixture_case, unity):
+    # A flagged member also stops when its residual rises after step 1.
+    # The swarm's answers stay the same only while no flow of the dispatch
+    # box that converges unflagged is stopped by that rule.
+    case = unity_power_factor_case(fixture_case) if unity else fixture_case
+    ybus = build_admittance(case)
+    spec = stack_of(box_specs(case, 1000, seed=23))
+    plain = solve_stack(spec, ybus)
+    flagged = solve_stack(spec, ybus, quick=np.ones(1000, dtype=bool))
+    assert np.array_equal(flagged.converged, plain.converged)
+    ok = plain.converged
+    assert np.array_equal(flagged.iterations[ok], plain.iterations[ok])
+    assert np.array_equal(flagged.max_mismatch[ok], plain.max_mismatch[ok])
+    assert np.array_equal(flagged.v[ok], plain.v[ok])
+    assert np.array_equal(flagged.delta[ok], plain.delta[ok])
+    assert np.max(flagged.iterations[~ok]) < QUICK_CAP < np.max(plain.iterations[~ok])
+
+
+def residual_trace(monkeypatch, case, spec, ybus):
+    """A lone unflagged solve and, for each Newton step k = 0, 1, ..., the
+    largest residual at step k and the voltage state it was taken at."""
+    pvpq = np.flatnonzero(spec.roles != SLACK)
+    pq = np.flatnonzero(spec.roles == PQ)
+    trace = []
+
+    def recording_mismatch(v, delta, p, q, ybus):
+        dp, dq = compute_mismatch(v, delta, p, q, ybus)
+        worst = max(np.max(np.abs(dp[0, pvpq])), np.max(np.abs(dq[0, pq]), initial=0.0))
+        trace.append((float(worst), v[0].copy(), delta[0].copy()))
+        return dp, dq
+
+    monkeypatch.setattr(powerflow, "compute_mismatch", recording_mismatch)
+    solution = solve_power_flow(case, spec, ybus)
+    monkeypatch.undo()
+    return solution, trace
+
+
+def first_rise(trace):
+    worst = [w for w, _, _ in trace]
+    return next((k for k in range(2, len(worst)) if worst[k] > worst[k - 1]), None)
+
+
+def test_quick_member_stops_at_its_first_rise_after_step_one(monkeypatch):
+    # Just past the lossless feeder's nose point p = 1/(2x) = 5 no solution
+    # exists; Newton wanders with |V| > 0 and its residual rises at step 6.
+    case = two_bus_case(reactance=0.1, p_load=5.01)
+    ybus = build_admittance(case)
+    spec = make_spec([-5.01, 0.0], [0.0, 0.0], [PQ, SLACK])
+    plain, trace = residual_trace(monkeypatch, case, spec, ybus)
+    rise = first_rise(trace)
+    assert rise == 6
+    assert not plain.converged and plain.iterations == MAX_ITERATIONS
+    assert min(float(v[0]) for _, v, _ in trace) > 0
+
+    flagged = solve_stack(spec, ybus, quick=[True])
+    assert not flagged.converged[0]
+    assert flagged.iterations[0] == rise
+    assert flagged.max_mismatch[0] == trace[rise][0]
+    assert np.array_equal(flagged.v[0], trace[rise][1])
+    assert np.array_equal(flagged.delta[0], trace[rise][2])
+
+    # Stacked with a converging mate, both flagged, neither member changes.
+    pair = make_spec([[-5.01, 0.0], [-0.5, 0.0]], np.zeros((2, 2)), [PQ, SLACK])
+    both = solve_stack(pair, ybus, quick=[True, True])
+    mate = solve_power_flow(case, make_spec([-0.5, 0.0], [0.0, 0.0], [PQ, SLACK]), ybus)
+    assert both.converged.tolist() == [False, True]
+    assert both.iterations.tolist() == [rise, mate.iterations]
+    assert both.max_mismatch.tolist() == [flagged.max_mismatch[0], mate.max_mismatch]
+    assert np.array_equal(both.v, [flagged.v[0], mate.v])
+    assert np.array_equal(both.delta, [flagged.delta[0], mate.delta])
+
+
+def test_quick_cap_still_stops_a_flow_whose_residual_never_rises(monkeypatch):
+    # At the nose point Newton converges only linearly, its residual falling
+    # about fourfold per step. On a stiff line (x = 1/2560, nose at 1280 p.u.)
+    # that takes 16 steps, so the flagged flow stops at QUICK_CAP instead.
+    x = 0.1 / 256
+    case = two_bus_case(reactance=x, p_load=1 / (2 * x))
+    ybus = build_admittance(case)
+    spec = make_spec([-1 / (2 * x), 0.0], [0.0, 0.0], [PQ, SLACK])
+    plain, trace = residual_trace(monkeypatch, case, spec, ybus)
+    assert first_rise(trace) is None
+    assert plain.converged and plain.iterations == QUICK_CAP + 1
+
+    flagged = solve_stack(spec, ybus, quick=[True])
+    assert not flagged.converged[0]
+    assert flagged.iterations[0] == QUICK_CAP
+    assert flagged.max_mismatch[0] == trace[QUICK_CAP][0]
+    assert np.array_equal(flagged.v[0], trace[QUICK_CAP][1])
+
+
+def test_quick_members_stop_at_their_first_rise_and_leave_the_rest_bitwise(
+    fixture_case, monkeypatch
+):
+    # Member 0 runs to the iteration cap when alone; flagged, it stops at
+    # its first residual rise after step 1, well before QUICK_CAP. The
+    # members are flagged and not flagged in turn.
     case = fixture_case
     ybus = build_admittance(case)
     specs = [capped_box_spec(case)] + box_specs(case, 120, seed=5)
     quick = np.arange(len(specs)) % 2 == 0
+    _, trace = residual_trace(monkeypatch, case, specs[0], ybus)
+    rise = first_rise(trace)
+    assert rise is not None and rise < QUICK_CAP
 
     flows = solve_stack(stack_of(specs), ybus, quick=quick)
-    assert not flows.converged[0] and flows.iterations[0] == QUICK_CAP
+    assert not flows.converged[0] and flows.iterations[0] == rise
+    assert flows.max_mismatch[0] == trace[rise][0]
+    assert np.array_equal(flows.v[0], trace[rise][1])
     assert np.all(flows.iterations[quick & ~flows.converged] <= QUICK_CAP)
     assert np.any(flows.iterations[~quick & ~flows.converged] > QUICK_CAP)
     assert np.any(flows.converged[quick]) and np.any(flows.converged[~quick])
@@ -300,7 +401,9 @@ def test_quick_members_stop_at_the_quick_cap_and_leave_the_rest_bitwise(fixture_
         if quick[k] and not flows.converged[k]:
             alone_quick = solve_stack(stack_of([spec]), ybus, quick=[True])
             assert alone_quick.iterations[0] == flows.iterations[k]
+            assert alone_quick.max_mismatch[0] == flows.max_mismatch[k]
             assert np.array_equal(alone_quick.v[0], flows.v[k])
+            assert np.array_equal(alone_quick.delta[0], flows.delta[k])
             continue
         alone = solve_power_flow(case, spec, ybus)
         assert alone.converged == flows.converged[k]
