@@ -4,16 +4,13 @@ Commands: validate, powerflow, ropf, pricing. Exit codes: 0 success,
 1 validation violations, 2 unreadable or malformed case data,
 3 power flow or dispatch did not reach a feasible answer. With
 --output-format machine-readable the output is JSON that is byte-identical
-across runs with the same arguments except for the timestamp field. The
-search commands print the library's log records to stderr, one message a
-line, from --log-level up (default warning).
+across runs with the same arguments except for the timestamp field.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import sys
 from datetime import datetime, timezone
@@ -72,9 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_search(p: argparse.ArgumentParser) -> None:
         for name, default in search.items():
             p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
-        p.add_argument(
-            "--log-level", choices=("debug", "info", "warning", "error"), default="warning"
-        )
 
     add_common(sub.add_parser("validate", help="check a case file, list violations"))
     add_common(sub.add_parser("powerflow", help="solve the reference flow, print voltages"))
@@ -175,14 +169,6 @@ def main(argv: list[str] | None = None) -> int:
         "ropf": _cmd_ropf,
         "pricing": _cmd_pricing,
     }
-    # One stderr handler for this call, removed when it returns. The bare
-    # format keeps the default stderr what logging's last resort printed.
-    logger = logging.getLogger("ropf")
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(message)s"))
-    level = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(getattr(args, "log_level", "warning").upper())
     try:
         return handlers[args.command](args)
     except OSError as exc:
@@ -194,9 +180,6 @@ def main(argv: list[str] | None = None) -> int:
     except DispatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
 
 
 if __name__ == "__main__":

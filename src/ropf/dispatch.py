@@ -22,9 +22,11 @@ from . import pso
 from .costmodel import dispatchable_generators, total_reactive_cost
 from .netmodel import AdmittanceMatrix, NetworkCase, build_admittance
 from .powerflow import (
+    QUICK_CAP,
     BusRole,
     InjectionSpec,
     PowerFlowSolution,
+    StackSolution,
     solve_power_flow,
     solve_stack,
     total_losses,
@@ -275,8 +277,18 @@ def swarm_fitness(
     ceiling-free values bit for bit; the others are at least their
     ceiling. So the ceiling changes no value that beats it as long as every
     flow that converges does so within QUICK_CAP steps and with a residual
-    that rises at step 1 at most.
+    that rises at step 1 at most; `run_ropf` stops passing a ceiling once
+    an unflagged flow breaks that.
     """
+    return _swarm_scores(problem, decisions, ceiling)[0]
+
+
+def _swarm_scores(
+    problem: DispatchProblem,
+    decisions: np.ndarray,
+    ceiling: np.ndarray | None,
+) -> tuple[np.ndarray, StackSolution]:
+    """`swarm_fitness` values and the flows they were scored on."""
     x = np.asarray(decisions, dtype=float)
     if x.ndim != 2 or x.shape[1] != problem.positions.size:
         raise ValueError(
@@ -292,7 +304,7 @@ def swarm_fitness(
     weight = problem.penalties.voltage_weight
     value = cost + weight * _band_violation(flows.v, problem.v_min, problem.v_max)
     value[~flows.converged] += NONCONVERGENCE_PENALTY
-    return value
+    return value, flows
 
 
 def evaluate_fitness(
@@ -358,10 +370,17 @@ def run_ropf(
     if free:
         # pso moves a personal best only on strict improvement, so the running
         # minimum of the values returned for a particle is its personal best.
+        # It is the ceiling until a flow that converges breaks the condition
+        # of the early stops; the first call, with every ceiling infinite,
+        # checks that condition on the whole swarm.
         pbest = np.full(params.swarm_size, np.inf)
+        early = True
 
         def fitness(x: np.ndarray) -> np.ndarray:
-            value = swarm_fitness(problem, assemble(x), pbest)
+            nonlocal early
+            value, flows = _swarm_scores(problem, assemble(x), pbest if early else None)
+            late = flows.rose | (flows.iterations > QUICK_CAP)
+            early = early and not np.any(flows.converged & late)
             np.fmin(pbest, value, out=pbest)
             return value
 

@@ -19,11 +19,10 @@ on a stack of one. Every member's arithmetic is the one a lone solve does
 (one matrix-vector product per member, elementwise Jacobian terms, one
 LAPACK solve per member), so a member's result does not depend on the rest
 of its stack. A member whose caller only needs its convergence can be
-flagged to give up early: at the first step after step 1 whose largest
-residual is above the one before, or after QUICK_CAP steps. The residual
-may rise at step 1, Newton's overshoot from the flat start; a later rise
-marks a flow that diverges or wanders (a residual form of Deuflhard's
-monotonicity test for Newton divergence).
+flagged to give up early: after QUICK_CAP steps, or at its first residual
+rise after step 1 (a residual form of Deuflhard's monotonicity test for
+Newton divergence). Every member reports whether its residual rose, so a
+caller can check on its unflagged flows that converging ones do not.
 """
 
 from __future__ import annotations
@@ -50,9 +49,7 @@ __all__ = [
 
 # A solve converges when its largest residual reaches TOLERANCE and gives
 # up after MAX_ITERATIONS Newton steps, a flagged stack member after
-# QUICK_CAP or at an earlier residual rise (converging flows of the bundled
-# decision box take at most 10 steps, and their residual rises at step 1
-# only).
+# QUICK_CAP or at an earlier residual rise (`solve_stack`).
 TOLERANCE = 1e-6
 MAX_ITERATIONS = 50
 QUICK_CAP = 15
@@ -124,13 +121,16 @@ class PowerFlowSolution:
 
 
 class StackSolution(NamedTuple):
-    """Final (or last attempted) states of a stacked solve, one row per member."""
+    """Final (or last attempted) states of a stacked solve, one row per
+    member; rose tells whether the member's largest residual rose at some
+    Newton step k >= 2."""
 
     v: np.ndarray
     delta: np.ndarray
     iterations: np.ndarray
     max_mismatch: np.ndarray
     converged: np.ndarray
+    rose: np.ndarray
 
 
 def _matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -267,7 +267,8 @@ def solve_stack(
     that will not converge, and it changes no converging flow as long as
     those, like every converging flow of the bundled decision box, need
     at most QUICK_CAP steps and never rise after step 1. The other
-    members are unaffected.
+    members are unaffected. Every member, flagged or not, reports in
+    rose whether its residual rose at a step k >= 2.
     """
     roles = spec.roles
     if ybus.n != roles.size:
@@ -292,6 +293,7 @@ def solve_stack(
     iterations = np.zeros(shape[0], dtype=int)
     max_mismatch = np.full(shape[0], np.inf)
     converged = np.zeros(shape[0], dtype=bool)
+    rose = np.zeros(shape[0], dtype=bool)
     flagged = np.zeros(shape[0], dtype=bool)
     if quick is not None:
         flagged[:] = quick
@@ -305,9 +307,10 @@ def solve_stack(
         done = worst <= TOLERANCE
         converged[active[done]] = True
         # max_mismatch still holds each member's residual of the step before
-        rising = flagged[active] & (iterations[active] >= 2) & (worst > max_mismatch[active])
+        rising = (iterations[active] >= 2) & (worst > max_mismatch[active])
+        rose[active] |= rising
         max_mismatch[active] = worst
-        stepping = ~done & ~rising & (iterations[active] < cap[active])
+        stepping = ~done & ~(rising & flagged[active]) & (iterations[active] < cap[active])
         if not stepping.any():
             break
         active, v_now, delta_now = active[stepping], v_now[stepping], delta_now[stepping]
@@ -324,7 +327,7 @@ def solve_stack(
         v[active] = v_now[usable]
         delta[active] = delta_now[usable]
         iterations[active] += 1
-    return StackSolution(v, delta, iterations, max_mismatch, converged)
+    return StackSolution(v, delta, iterations, max_mismatch, converged, rose)
 
 
 def solve_power_flow(

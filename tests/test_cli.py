@@ -219,19 +219,6 @@ def test_ropf_feasible_network_exits_zero(tmp_path, capsys):
     assert "loss" in out.lower()
 
 
-@pytest.mark.parametrize("command", ["ropf", "pricing"])
-def test_log_level_error_silences_the_infeasibility_warning(command, fixture_path, capsys):
-    argv = [command, str(fixture_path), *FAST, "--output-format", "machine-readable"]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert json.loads(captured.out)["config"]["log_level"] == "warning"
-    assert captured.err.startswith("best decision is infeasible: converged=True")
-    assert main([*argv, "--log-level", "error"]) == 3
-    captured = capsys.readouterr()
-    assert json.loads(captured.out)["config"]["log_level"] == "error"
-    assert captured.err == ""
-
-
 def test_ropf_fixture_flags_infeasible_run(fixture_path, capsys):
     argv = ["ropf", str(fixture_path), *FAST, "--output-format", "machine-readable"]
     assert main(argv) == 3
@@ -344,7 +331,6 @@ def test_search_settings_that_break_the_fitness_are_rejected(fixture_path, capsy
 
 def test_parser_defaults_match_documented_interface():
     args = build_parser().parse_args(["ropf", "x.case"])
-    assert args.log_level == "warning"
     assert args.seed == 1
     assert args.swarm_size == 30
     assert args.iterations == 300

@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import QUADRATIC, compensated_case, three_bus_case, two_bus_case
+from conftest import QUADRATIC, area_chain, compensated_case, three_bus_case, two_bus_case
 from ropf.costmodel import total_reactive_cost
 from ropf.netmodel import (
     Bus,
@@ -25,7 +25,14 @@ from ropf.netmodel import (
     build_admittance,
 )
 from ropf import dispatch, pso
-from ropf.powerflow import BusRole, InjectionSpec, PowerFlowSolution, solve_power_flow, solve_stack
+from ropf.powerflow import (
+    QUICK_CAP,
+    BusRole,
+    InjectionSpec,
+    PowerFlowSolution,
+    solve_power_flow,
+    solve_stack,
+)
 from ropf.pso import PsoParams
 from ropf.dispatch import (
     DecisionVector,
@@ -243,6 +250,58 @@ def test_run_ropf_equals_the_exact_fitness_search(fixture_case, monkeypatch, uni
     monkeypatch.setattr(dispatch, "solve_stack", recording_solve_stack)
     report = run_ropf(case, params)
     assert sum(flagged) > 0
+    assert report.var_requirements == tuple(float(x) for x in reference.position)
+    assert report.gbest_fitness == reference.fitness
+    assert report.convergence_history == reference.history
+
+
+@pytest.mark.parametrize("broken", [None, "rose", "slow"])
+def test_run_ropf_flags_only_while_converging_flows_keep_the_early_stop_condition(
+    fixture_case, monkeypatch, broken
+):
+    # The first call's flows are all unflagged. If one of them converges
+    # after a rise past step 1 or after more than QUICK_CAP steps, no later
+    # call flags a flow; otherwise later calls do.
+    calls = []
+
+    def faking_solve_stack(spec, ybus, start=None, quick=None):
+        flows = solve_stack(spec, ybus, start, quick)
+        calls.append(quick is not None and bool(np.any(quick)))
+        if len(calls) == 1 and broken == "rose":
+            flows = flows._replace(rose=flows.converged.copy())
+        if len(calls) == 1 and broken == "slow":
+            flows = flows._replace(iterations=np.where(flows.converged, QUICK_CAP + 1, flows.iterations))
+        return flows
+
+    monkeypatch.setattr(dispatch, "solve_stack", faking_solve_stack)
+    run_ropf(fixture_case, PsoParams(swarm_size=10, max_iterations=10, seed=1))
+    assert len(calls) == 11 and not calls[0]
+    assert any(calls[1:]) == (broken is None)
+
+
+def test_run_ropf_stops_flagging_once_a_converging_flow_rises_late(fixture_case, monkeypatch):
+    # On six areas in a row some flows rise after step 1 and still converge,
+    # so the early stops could drop them. run_ropf flags no flow after the
+    # first call that shows one, and ends at the bits of the ceiling-free
+    # search; with the early stops kept on, seed 5 ends elsewhere.
+    case = area_chain(fixture_case, 6)
+    params = PsoParams(swarm_size=10, max_iterations=20, seed=5)
+    bounds = decision_bounds(case)
+    assert all(lo < hi for lo, hi in bounds)
+    problem = compile_problem(case)
+    reference = pso.optimize(lambda x: swarm_fitness(problem, x), bounds, params)
+
+    calls = []
+
+    def recording_solve_stack(spec, ybus, start=None, quick=None):
+        flows = solve_stack(spec, ybus, start, quick)
+        calls.append((quick is not None and bool(np.any(quick)), bool(np.any(flows.converged & flows.rose))))
+        return flows
+
+    monkeypatch.setattr(dispatch, "solve_stack", recording_solve_stack)
+    report = run_ropf(case, params)
+    first = next(k for k, (_, late) in enumerate(calls) if late)
+    assert not any(flagged for flagged, _ in calls[first + 1 :])
     assert report.var_requirements == tuple(float(x) for x in reference.position)
     assert report.gbest_fitness == reference.fitness
     assert report.convergence_history == reference.history

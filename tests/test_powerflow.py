@@ -296,6 +296,7 @@ def test_flagging_every_box_flow_changes_no_converging_flow(fixture_case, unity)
     flagged = solve_stack(spec, ybus, quick=np.ones(1000, dtype=bool))
     assert np.array_equal(flagged.converged, plain.converged)
     ok = plain.converged
+    assert not np.any(plain.rose[ok]) and np.any(plain.rose)
     assert np.array_equal(flagged.iterations[ok], plain.iterations[ok])
     assert np.array_equal(flagged.max_mismatch[ok], plain.max_mismatch[ok])
     assert np.array_equal(flagged.v[ok], plain.v[ok])
@@ -338,6 +339,7 @@ def test_quick_member_stops_at_its_first_rise_after_step_one(monkeypatch):
     assert rise == 6
     assert not plain.converged and plain.iterations == MAX_ITERATIONS
     assert min(float(v[0]) for _, v, _ in trace) > 0
+    assert solve_stack(spec, ybus).rose.tolist() == [True]
 
     flagged = solve_stack(spec, ybus, quick=[True])
     assert not flagged.converged[0]
