@@ -22,7 +22,6 @@ from . import pso
 from .costmodel import dispatchable_generators, total_reactive_cost
 from .netmodel import AdmittanceMatrix, NetworkCase, build_admittance
 from .powerflow import (
-    QUICK_CAP,
     BusRole,
     InjectionSpec,
     PowerFlowSolution,
@@ -259,28 +258,14 @@ def compile_problem(case: NetworkCase, penalties: PenaltyConfig | None = None) -
     )
 
 
-def swarm_fitness(
-    problem: DispatchProblem,
-    decisions: np.ndarray,
-    ceiling: np.ndarray | None = None,
-) -> np.ndarray:
+def swarm_fitness(problem: DispatchProblem, decisions: np.ndarray) -> np.ndarray:
     """Objective cost plus exterior penalties of each row of an (S, D)
     array of decisions, source order; returns S values.
 
     Each row is scored as if alone, so a stack gives the values its
-    members would give one by one. A row whose ceiling (shape (S,), the
-    value it must beat, such as a particle's personal best) is no higher
-    than its cost plus NONCONVERGENCE_PENALTY, the least a non-converged
-    flow scores, can only matter by converging: its flow gives up after
-    QUICK_CAP Newton steps, or earlier when its residual rises after the
-    first step (`solve_stack`). Values below their ceiling are the
-    ceiling-free values bit for bit; the others are at least their
-    ceiling. So the ceiling changes no value that beats it as long as every
-    flow that converges does so within QUICK_CAP steps and with a residual
-    that rises at step 1 at most; `run_ropf` stops passing a ceiling once
-    an unflagged flow breaks that.
+    members would give one by one.
     """
-    return _swarm_scores(problem, decisions, ceiling)[0]
+    return _swarm_scores(problem, decisions, None)[0]
 
 
 def _swarm_scores(
@@ -288,7 +273,18 @@ def _swarm_scores(
     decisions: np.ndarray,
     ceiling: np.ndarray | None,
 ) -> tuple[np.ndarray, StackSolution]:
-    """`swarm_fitness` values and the flows they were scored on."""
+    """`swarm_fitness` values and the flows they were scored on.
+
+    A row whose ceiling (shape (S,), the value it must beat, such as a
+    particle's personal best) is no higher than its cost plus
+    NONCONVERGENCE_PENALTY, the least a non-converged flow scores, can
+    only matter by converging: its flow gives up at its first residual
+    rise after the first Newton step (`solve_stack`). Values below their
+    ceiling are the ceiling-free values bit for bit; the others are at
+    least their ceiling. So the ceiling changes no value that beats it as
+    long as no flow that converges rises after step 1; `run_ropf` stops
+    passing a ceiling once an unflagged flow breaks that.
+    """
     x = np.asarray(decisions, dtype=float)
     if x.ndim != 2 or x.shape[1] != problem.positions.size:
         raise ValueError(
@@ -370,17 +366,16 @@ def run_ropf(
     if free:
         # pso moves a personal best only on strict improvement, so the running
         # minimum of the values returned for a particle is its personal best.
-        # It is the ceiling until a flow that converges breaks the condition
-        # of the early stops; the first call, with every ceiling infinite,
-        # checks that condition on the whole swarm.
+        # It is the ceiling until a flow that converges rises after step 1,
+        # which could make the early stop drop it; the first call, with every
+        # ceiling infinite, checks that on the whole swarm.
         pbest = np.full(params.swarm_size, np.inf)
         early = True
 
         def fitness(x: np.ndarray) -> np.ndarray:
             nonlocal early
             value, flows = _swarm_scores(problem, assemble(x), pbest if early else None)
-            late = flows.rose | (flows.iterations > QUICK_CAP)
-            early = early and not np.any(flows.converged & late)
+            early = early and not np.any(flows.converged & flows.rose)
             np.fmin(pbest, value, out=pbest)
             return value
 

@@ -19,10 +19,10 @@ on a stack of one. Every member's arithmetic is the one a lone solve does
 (one matrix-vector product per member, elementwise Jacobian terms, one
 LAPACK solve per member), so a member's result does not depend on the rest
 of its stack. A member whose caller only needs its convergence can be
-flagged to give up early: after QUICK_CAP steps, or at its first residual
-rise after step 1 (a residual form of Deuflhard's monotonicity test for
-Newton divergence). Every member reports whether its residual rose, so a
-caller can check on its unflagged flows that converging ones do not.
+flagged to give up at its first residual rise after step 1 (a residual
+form of Deuflhard's monotonicity test for Newton divergence). Every member
+reports whether its residual rose, so a caller can check on its unflagged
+flows that converging ones do not.
 """
 
 from __future__ import annotations
@@ -48,11 +48,10 @@ __all__ = [
 ]
 
 # A solve converges when its largest residual reaches TOLERANCE and gives
-# up after MAX_ITERATIONS Newton steps, a flagged stack member after
-# QUICK_CAP or at an earlier residual rise (`solve_stack`).
+# up after MAX_ITERATIONS Newton steps, a flagged stack member at an
+# earlier residual rise (`solve_stack`).
 TOLERANCE = 1e-6
 MAX_ITERATIONS = 50
-QUICK_CAP = 15
 
 
 class BusRole(IntEnum):
@@ -261,12 +260,11 @@ def solve_stack(
     MAX_ITERATIONS steps, or when its Newton step is singular or
     non-finite or would leave a non-finite or non-positive voltage
     magnitude; it then keeps its last usable state. A member flagged in
-    the boolean mask quick, shape (S,), also stops as not converged after
-    QUICK_CAP steps, or earlier at the first step k >= 2 whose residual
-    norm is above that of step k - 1. That spares the steps of a flow
-    that will not converge, and it changes no converging flow as long as
-    those, like every converging flow of the bundled decision box, need
-    at most QUICK_CAP steps and never rise after step 1. The other
+    the boolean mask quick, shape (S,), also stops as not converged at
+    the first step k >= 2 whose residual norm is above that of step
+    k - 1. That spares the steps of a flow that will not converge, and it
+    changes no converging flow as long as those, like every converging
+    flow of the bundled decision box, never rise after step 1. The other
     members are unaffected. Every member, flagged or not, reports in
     rose whether its residual rose at a step k >= 2.
     """
@@ -297,7 +295,6 @@ def solve_stack(
     flagged = np.zeros(shape[0], dtype=bool)
     if quick is not None:
         flagged[:] = quick
-    cap = np.where(flagged, QUICK_CAP, MAX_ITERATIONS)
     active = np.arange(shape[0])
     while active.size:
         v_now, delta_now = v[active], delta[active]
@@ -310,7 +307,7 @@ def solve_stack(
         rising = (iterations[active] >= 2) & (worst > max_mismatch[active])
         rose[active] |= rising
         max_mismatch[active] = worst
-        stepping = ~done & ~(rising & flagged[active]) & (iterations[active] < cap[active])
+        stepping = ~done & ~(rising & flagged[active]) & (iterations[active] < MAX_ITERATIONS)
         if not stepping.any():
             break
         active, v_now, delta_now = active[stepping], v_now[stepping], delta_now[stepping]

@@ -26,7 +26,6 @@ from ropf.netmodel import (
 )
 from ropf import dispatch, pso
 from ropf.powerflow import (
-    QUICK_CAP,
     BusRole,
     InjectionSpec,
     PowerFlowSolution,
@@ -211,7 +210,7 @@ def test_stack_equals_its_members(fixture_case, unity):
 
 def test_a_ceiling_changes_no_value_below_it(fixture_case):
     # Each row gets no ceiling, its own exact value, or the least value a
-    # non-converged flow can score (which flags its flow for the quick cap).
+    # non-converged flow can score (which flags its flow for the early stop).
     problem = compile_problem(fixture_case)
     lower, upper = np.array(decision_bounds(fixture_case)).T
     points = lower + np.random.default_rng(29).uniform(size=(600, lower.size)) * (upper - lower)
@@ -221,12 +220,12 @@ def test_a_ceiling_changes_no_value_below_it(fixture_case):
     least_unconverged = costs + dispatch.NONCONVERGENCE_PENALTY
     ceiling = np.choose(choice, [np.full(len(points), np.inf), exact, least_unconverged])
 
-    value = swarm_fitness(problem, points, ceiling)
+    value = dispatch._swarm_scores(problem, points, ceiling)[0]
     below = value < ceiling
     assert np.array_equal(value[below], exact[below])
     assert np.all(value[~below] >= ceiling[~below])
     assert np.any(below) and np.any(~below)
-    assert np.any(value != exact)  # the quick cap cut some flow short
+    assert np.any(value != exact)  # the early stop cut some flow short
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -255,13 +254,13 @@ def test_run_ropf_equals_the_exact_fitness_search(fixture_case, monkeypatch, uni
     assert report.convergence_history == reference.history
 
 
-@pytest.mark.parametrize("broken", [None, "rose", "slow"])
+@pytest.mark.parametrize("broken", [None, "rose"])
 def test_run_ropf_flags_only_while_converging_flows_keep_the_early_stop_condition(
     fixture_case, monkeypatch, broken
 ):
     # The first call's flows are all unflagged. If one of them converges
-    # after a rise past step 1 or after more than QUICK_CAP steps, no later
-    # call flags a flow; otherwise later calls do.
+    # after a rise past step 1, no later call flags a flow; otherwise later
+    # calls do.
     calls = []
 
     def faking_solve_stack(spec, ybus, start=None, quick=None):
@@ -269,8 +268,6 @@ def test_run_ropf_flags_only_while_converging_flows_keep_the_early_stop_conditio
         calls.append(quick is not None and bool(np.any(quick)))
         if len(calls) == 1 and broken == "rose":
             flows = flows._replace(rose=flows.converged.copy())
-        if len(calls) == 1 and broken == "slow":
-            flows = flows._replace(iterations=np.where(flows.converged, QUICK_CAP + 1, flows.iterations))
         return flows
 
     monkeypatch.setattr(dispatch, "solve_stack", faking_solve_stack)
