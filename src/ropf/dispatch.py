@@ -108,11 +108,13 @@ class PenaltyConfig:
 
 @dataclass(frozen=True)
 class Payments:
-    """Settled $/h amounts. duty_shares are the parts of the duty cost
-    charged back to each generator before the payment floor."""
+    """Settled $/h amounts. duty_cost is the unity-power-factor run's total
+    payment; duty_shares are its parts charged back to each generator
+    before the payment floor."""
 
     generator_payments: tuple[float, ...]
     compensator_payments: tuple[float, ...]
+    duty_cost: float
     duty_shares: tuple[float, ...]
     load_allocated: float
     total: float
@@ -139,8 +141,6 @@ class RopfReport:
     bus_ids: tuple[int, ...]
     bus_voltages: tuple[float, ...]
     bus_angles: tuple[float, ...]
-    duty_cost: float | None = None
-    load_allocated_cost: float | None = None
 
 
 def decision_bounds(case: NetworkCase) -> list[tuple[float, float]]:
@@ -339,12 +339,7 @@ def run_ropf(
     params: PsoParams | None = None,
     penalties: PenaltyConfig | None = None,
 ) -> RopfReport:
-    """Minimize the total reactive support cost subject to the power flow.
-
-    Decision dimensions whose limits pin them to a single value are held
-    there and kept out of the swarm; with nothing left to optimize the
-    pinned decision is evaluated directly.
-    """
+    """Minimize the total reactive support cost subject to the power flow."""
     params = params or PsoParams()
     problem = compile_problem(case, penalties)
     ybus = problem.ybus
@@ -354,40 +349,24 @@ def run_ropf(
     gens = dispatchable_generators(case)
     kinds = ("generator",) * len(gens) + ("compensator",) * len(case.compensators)
     buses = tuple(g.bus for g in gens) + tuple(c.bus for c in case.compensators)
-    bounds = decision_bounds(case)
-    free = [k for k, (lo, hi) in enumerate(bounds) if lo < hi]
-    held = np.array([lo for lo, _ in bounds])  # the pinned dimensions keep these
 
-    def assemble(x: np.ndarray) -> np.ndarray:
-        full = np.repeat(held[None, :], len(x), axis=0)
-        full[:, free] = x
-        return full
+    # pso moves a personal best only on strict improvement, so the running
+    # minimum of the values returned for a particle is its personal best.
+    # It is the ceiling until a flow that converges rises after step 1,
+    # which could make the early stop drop it; the first call, with every
+    # ceiling infinite, checks that on the whole swarm.
+    pbest = np.full(params.swarm_size, np.inf)
+    early = True
 
-    if free:
-        # pso moves a personal best only on strict improvement, so the running
-        # minimum of the values returned for a particle is its personal best.
-        # It is the ceiling until a flow that converges rises after step 1,
-        # which could make the early stop drop it; the first call, with every
-        # ceiling infinite, checks that on the whole swarm.
-        pbest = np.full(params.swarm_size, np.inf)
-        early = True
+    def fitness(x: np.ndarray) -> np.ndarray:
+        nonlocal early
+        value, flows = _swarm_scores(problem, x, pbest if early else None)
+        early = early and not np.any(flows.converged & flows.rose)
+        np.fmin(pbest, value, out=pbest)
+        return value
 
-        def fitness(x: np.ndarray) -> np.ndarray:
-            nonlocal early
-            value, flows = _swarm_scores(problem, assemble(x), pbest if early else None)
-            early = early and not np.any(flows.converged & flows.rose)
-            np.fmin(pbest, value, out=pbest)
-            return value
-
-        result = pso.optimize(fitness, [bounds[k] for k in free], params)
-        position = result.position
-        gbest = result.fitness
-        history = result.history
-    else:
-        position = np.empty(0)
-        gbest = float(swarm_fitness(problem, assemble(position[None, :]))[0])
-        history = (gbest,)
-    decision = DecisionVector.from_array(case, assemble(position[None, :])[0])
+    result = pso.optimize(fitness, decision_bounds(case), params)
+    decision = DecisionVector.from_array(case, result.position)
 
     solution = solve_power_flow(case, build_injections(case, decision), ybus)
     q = decision.q_generators + decision.q_compensators
@@ -399,7 +378,7 @@ def run_ropf(
             "best decision is infeasible: converged=%s voltage penalty=%.3e fitness=%.6g",
             solution.converged,
             residual_penalty,
-            gbest,
+            result.fitness,
         )
 
     loss_before_alt: float | None = None
@@ -423,8 +402,8 @@ def run_ropf(
         loss_before_alt=loss_before_alt,
         feasible=feasible,
         converged=solution.converged,
-        gbest_fitness=gbest,
-        convergence_history=tuple(history),
+        gbest_fitness=result.fitness,
+        convergence_history=result.history,
         seed=params.seed,
         params=params,
         bus_ids=tuple(b.id for b in case.buses),
@@ -473,6 +452,7 @@ def allocate_payments(report: RopfReport, duty: RopfReport) -> Payments:
     return Payments(
         generator_payments=gen_payments,
         compensator_payments=comp_payments,
+        duty_cost=cg,
         duty_shares=tuple(shares),
         load_allocated=load_allocated,
         total=float(sum(gen_payments) + sum(comp_payments)),
@@ -491,13 +471,7 @@ def run_pricing(
     the active-power sellers, not by the reactive loads."""
     report = run_ropf(case, params, penalties)
     duty_report = run_ropf(unity_power_factor_case(case), params, penalties)
-    payments = allocate_payments(report, duty_report)
-    report = replace(
-        report,
-        duty_cost=duty_report.total_payment,
-        load_allocated_cost=payments.load_allocated,
-    )
-    return report, payments
+    return report, allocate_payments(report, duty_report)
 
 
 def report_to_dict(report: RopfReport, payments: Payments | None = None) -> dict:
@@ -529,8 +503,8 @@ def report_to_dict(report: RopfReport, payments: Payments | None = None) -> dict
         "bus_ids": list(report.bus_ids),
         "bus_voltages_pu": list(report.bus_voltages),
         "bus_angles_rad": list(report.bus_angles),
-        "duty_cost_per_h": report.duty_cost,
-        "load_allocated_per_h": report.load_allocated_cost,
+        "duty_cost_per_h": payments and payments.duty_cost,
+        "load_allocated_per_h": payments and payments.load_allocated,
     }
     if payments is not None:
         doc["payments"] = {
@@ -569,11 +543,10 @@ def render_text(report: RopfReport, payments: Payments | None = None) -> str:
     out.append(f"power loss after compensation   {report.loss_after:.6f} p.u.")
     out.append(f"payment to generators and compensators  {report.total_payment:.4f} $/h")
     out.append(f"feasible: {'yes' if report.feasible else 'NO'}")
-    if report.duty_cost is not None:
-        out.append("")
-        out.append(f"duty cost (unity power factor)  {report.duty_cost:.4f} $/h")
-        out.append(f"cost allocated to reactive loads  {report.load_allocated_cost:.4f} $/h")
     if payments is not None:
+        out.append("")
+        out.append(f"duty cost (unity power factor)  {payments.duty_cost:.4f} $/h")
+        out.append(f"cost allocated to reactive loads  {payments.load_allocated:.4f} $/h")
         out.append("")
         out.append("settled payments ($/h)")
         paid = payments.generator_payments + payments.compensator_payments

@@ -6,6 +6,9 @@ Velocity update per particle:
 
 with r1, r2 fresh uniform draws per dimension, velocities clamped to a
 fraction of each dimension's range, and positions clipped to the bounds.
+A zero-width dimension (lower == upper) gets no velocity and stays at its
+value; an empty box (no dimension) is scored as one point for the whole
+schedule.
 A particle clipped at a wall keeps its velocity, so the walls do not
 absorb it; the next update starts from that velocity. The swarm's state
 is a set of (S, D) arrays, one row per particle, updated synchronously:
@@ -34,7 +37,6 @@ import numpy as np
 __all__ = [
     "PsoParams",
     "PsoResult",
-    "clamp_velocity",
     "inertia_weight",
     "optimize",
     "update_velocity",
@@ -62,6 +64,10 @@ class PsoParams:
     seed: int = 1
 
     def __post_init__(self):
+        for name in ("swarm_size", "max_iterations", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.swarm_size < 1:
             raise ValueError(f"swarm_size must be >= 1, got {self.swarm_size}")
         if self.max_iterations < 1:
@@ -88,15 +94,13 @@ def _particle_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _check_bounds(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
-    if len(bounds) == 0:
-        raise ValueError("bounds must cover at least one dimension")
     lower = np.array([b[0] for b in bounds], dtype=float)
     upper = np.array([b[1] for b in bounds], dtype=float)
     if np.any(~np.isfinite(lower)) or np.any(~np.isfinite(upper)):
         raise ValueError("bounds must be finite")
-    if np.any(lower >= upper):
-        bad = int(np.flatnonzero(lower >= upper)[0])
-        raise ValueError(f"degenerate bounds in dimension {bad}: [{lower[bad]}, {upper[bad]}]")
+    if np.any(lower > upper):
+        bad = int(np.flatnonzero(lower > upper)[0])
+        raise ValueError(f"inverted bounds in dimension {bad}: [{lower[bad]}, {upper[bad]}]")
     return lower, upper
 
 
@@ -145,18 +149,16 @@ def update_velocity(
     )
 
 
-def clamp_velocity(velocity: np.ndarray, v_max: np.ndarray) -> np.ndarray:
-    return np.clip(velocity, -v_max, v_max)
-
-
 def optimize(fitness: SwarmFitness, bounds: Bounds, params: PsoParams) -> PsoResult:
     """Run the full schedule; returns the best point, its fitness, and the
     global-best trace (initial value plus one entry per iteration).
 
     Positions start uniform in the box and velocities within the clamp.
-    If every initial fitness is non-finite the swarm still starts
-    (penalty-shaped objectives often look like that early on); it is
-    logged, not fatal.
+    A box may pin a dimension (lower == upper) or have no dimension at
+    all; the swarm then holds those values, and an empty box is one point
+    scored every iteration. If every initial fitness is non-finite the
+    swarm still starts (penalty-shaped objectives often look like that
+    early on); it is logged, not fatal.
     """
     lower, upper = _check_bounds(bounds)
     v_max = V_MAX_FRACTION * (upper - lower)
@@ -165,28 +167,19 @@ def optimize(fitness: SwarmFitness, bounds: Bounds, params: PsoParams) -> PsoRes
     position = lower + u_position * (upper - lower)
     velocity = -v_max + u_velocity * (2.0 * v_max)
     pbest_position = position.copy()
-    pbest_fitness = _evaluate(fitness, position)
-
-    best = int(np.argmin(pbest_fitness))
-    if pbest_fitness[best] < math.inf:
-        gbest_fitness = float(pbest_fitness[best])
-        gbest_position = position[best].copy()
-    else:
-        logger.warning("all %d initial fitness values are non-finite", params.swarm_size)
-        gbest_fitness = math.inf
-        gbest_position = position[0].copy()
-
-    history = [gbest_fitness]
-    for iteration in range(params.max_iterations):
-        w = inertia_weight(params, iteration)
-        rand1, rand2 = _draw_pairs(rngs, lower.size)
-        velocity = clamp_velocity(
-            update_velocity(
+    pbest_fitness = np.full(params.swarm_size, math.inf)
+    gbest_fitness = math.inf
+    gbest_position = position[0].copy()
+    history = []
+    for iteration in range(-1, params.max_iterations):  # -1 scores the start
+        if iteration >= 0:
+            w = inertia_weight(params, iteration)
+            rand1, rand2 = _draw_pairs(rngs, lower.size)
+            velocity = update_velocity(
                 velocity, position, pbest_position, gbest_position, w, params, rand1, rand2
-            ),
-            v_max,
-        )
-        position = np.clip(position + velocity, lower, upper)
+            )
+            velocity = np.clip(velocity, -v_max, v_max)
+            position = np.clip(position + velocity, lower, upper)
         value = _evaluate(fitness, position)
         improved = value < pbest_fitness
         pbest_fitness[improved] = value[improved]
@@ -195,5 +188,7 @@ def optimize(fitness: SwarmFitness, bounds: Bounds, params: PsoParams) -> PsoRes
         if pbest_fitness[best] < gbest_fitness:
             gbest_fitness = float(pbest_fitness[best])
             gbest_position = pbest_position[best].copy()
+        elif iteration < 0:
+            logger.warning("all %d initial fitness values are non-finite", params.swarm_size)
         history.append(gbest_fitness)
     return PsoResult(position=gbest_position, fitness=gbest_fitness, history=tuple(history))

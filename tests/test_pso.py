@@ -19,7 +19,6 @@ import pytest
 from ropf.pso import (
     V_MAX_FRACTION,
     PsoParams,
-    clamp_velocity,
     inertia_weight,
     optimize,
     update_velocity,
@@ -58,9 +57,14 @@ def test_params_validate():
         dict(c1=math.nan),
         dict(c2=math.inf),
         dict(seed=-1),
+        dict(swarm_size=2.5),
+        dict(max_iterations=3.5),
+        dict(seed=1.5),
     ):
         with pytest.raises(ValueError):
             PsoParams(**bad)
+    # numpy integers are integers
+    PsoParams(swarm_size=np.int64(4), max_iterations=np.int32(3), seed=np.uint64(2))
 
 
 def test_inertia_schedule_endpoints_and_midpoint():
@@ -119,18 +123,32 @@ def test_velocity_update_row_per_particle():
     assert np.allclose(v, [[0.75, -1.25], [0.0, 0.0]], atol=1e-15)
 
 
-def test_clamp_velocity():
-    clamped = clamp_velocity(np.array([3.0, -4.0, 0.1]), np.array([1.0, 2.0, 5.0]))
-    assert np.allclose(clamped, [1.0, -2.0, 0.1])
+def test_zero_width_dimension_holds_its_value():
+    recorder = Recorder(sphere)
+    params = PsoParams(swarm_size=6, max_iterations=10, seed=4)
+    result = optimize(recorder, [(-1.0, 1.0), (0.5, 0.5)], params)
+    positions = np.array([x for x, _ in recorder.calls])
+    assert np.all(positions[:, :, 1] == 0.5)
+    assert len(np.unique(positions[:, :, 0])) > params.swarm_size
+    assert result.position[1] == 0.5
 
 
-def test_bounds_rejected_when_degenerate():
-    with pytest.raises(ValueError, match="degenerate bounds in dimension 1"):
-        optimize(sphere, [(-1.0, 1.0), (0.5, 0.5)], PsoParams(max_iterations=2))
-    with pytest.raises(ValueError, match="at least one dimension"):
-        optimize(sphere, [], PsoParams(max_iterations=2))
+def test_empty_box_scores_its_one_point():
+    result = optimize(
+        lambda x: np.full(len(x), 2.0), [], PsoParams(swarm_size=3, max_iterations=4, seed=1)
+    )
+    assert result.position.shape == (0,)
+    assert result.fitness == 2.0
+    assert result.history == (2.0,) * 5
+
+
+def test_inverted_and_infinite_bounds_rejected():
+    with pytest.raises(ValueError, match="inverted bounds in dimension 1"):
+        optimize(sphere, [(-1.0, 1.0), (0.5, 0.4)], PsoParams(max_iterations=2))
     with pytest.raises(ValueError, match="finite"):
         optimize(sphere, [(0.0, math.inf)], PsoParams(max_iterations=2))
+    with pytest.raises(ValueError, match="finite"):
+        optimize(sphere, [(math.nan, 1.0)], PsoParams(max_iterations=2))
 
 
 def test_initial_gbest_is_min_over_particles():
