@@ -1,14 +1,16 @@
 """Reactive dispatch and pricing.
 
-Builds the optimization problem (decision vector of reactive outputs, box
-limits from the sources, penalty-shaped fitness over the AC power flow),
-runs the swarm, and settles payments. The decision vector orders the
-non-slack generators first, then the compensators, both in case order.
-
+Builds the optimization problem, runs the swarm, and settles payments.
+The answer is a decision vector of reactive outputs within the source
+limits: the non-slack generators first, then the compensators, both in
+case order. The swarm searches the usual form of optimal reactive
+dispatch instead: generator buses are voltage-held (PV), a particle sets
+the generator voltages, then the compensator outputs, and a generator's
+reactive output is a result of the flow, held to its limits by a penalty.
 A run compiles its case once (`compile_problem`) and scores the whole
-swarm at once (`swarm_fitness`: decisions (S, D) to S values) through one
-stacked power flow. `evaluate_fitness` is the same computation on a stack
-of one.
+swarm through one stacked power flow (`swarm_fitness`: (S, D) to S
+values). `evaluate_fitness` scores a decision vector on its own flow
+through the same scorer.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .powerflow import (
     InjectionSpec,
     PowerFlowSolution,
     StackSolution,
+    compute_mismatch,
     solve_power_flow,
     solve_stack,
     total_losses,
@@ -59,6 +62,10 @@ logger = logging.getLogger(__name__)
 # Large enough to dominate any plausible feasible cost, so the swarm ranks
 # every converged point above every non-converged one.
 NONCONVERGENCE_PENALTY = 1e6
+# The swarm's box for every generator voltage setpoint, p.u. It is wider
+# than the bundled case's 0.95-1.05 band on purpose: the band is
+# penalized, not boxed, and at the penalty optimum bus 1 sits at 1.0521.
+VOLTAGE_SETPOINT_BOX = (0.90, 1.10)
 
 
 class DispatchError(RuntimeError):
@@ -93,8 +100,9 @@ class DecisionVector:
 class PenaltyConfig:
     """Exterior penalty shaping for the fitness function.
 
-    voltage_weight scales the quadratic band-violation terms; it must be
-    finite and nonnegative. A non-converged flow adds NONCONVERGENCE_PENALTY.
+    voltage_weight scales the quadratic band-violation terms and the squared
+    excess of reactive outputs over their limits; it must be finite and
+    nonnegative. A non-converged flow adds NONCONVERGENCE_PENALTY.
     """
 
     voltage_weight: float = 1e4
@@ -144,7 +152,7 @@ class RopfReport:
 
 
 def decision_bounds(case: NetworkCase) -> list[tuple[float, float]]:
-    """Box limits for the decision vector, source order."""
+    """Source limits of the decision vector's reactive outputs, source order."""
     gens = dispatchable_generators(case)
     return [(g.q_min, g.q_max) for g in gens] + [(c.q_min, c.q_max) for c in case.compensators]
 
@@ -231,15 +239,22 @@ def voltage_penalty(solution: PowerFlowSolution, case: NetworkCase) -> float:
 class DispatchProblem:
     """A case compiled once for fitness evaluation.
 
-    base holds the injections with every source at zero output (loads and
-    scheduled active generation); positions maps each decision entry to
-    its bus (-1: left to the slack balance). Build it with compile_problem.
+    base holds the injections with the generator buses voltage-held and
+    every source at zero output (loads and scheduled active generation);
+    gen_buses and comp_buses map the generators and compensators to their
+    buses (-1: left to the slack balance); q_min and q_max are the source
+    limits and bounds the swarm's box, both in source order. Build it with
+    compile_problem.
     """
 
     case: NetworkCase
     ybus: AdmittanceMatrix
     base: InjectionSpec
-    positions: np.ndarray
+    gen_buses: np.ndarray
+    comp_buses: np.ndarray
+    q_min: np.ndarray
+    q_max: np.ndarray
+    bounds: list[tuple[float, float]]
     v_min: np.ndarray
     v_max: np.ndarray
     penalties: PenaltyConfig
@@ -247,60 +262,71 @@ class DispatchProblem:
 
 def compile_problem(case: NetworkCase, penalties: PenaltyConfig | None = None) -> DispatchProblem:
     """Everything the fitness needs from a case, as arrays built once."""
+    limits = decision_bounds(case)
+    positions = _source_positions(case)
+    n_gen = len(dispatchable_generators(case))
     return DispatchProblem(
         case=case,
         ybus=build_admittance(case),
-        base=build_injections(case),
-        positions=_source_positions(case),
+        base=build_injections(case, None, generators_pv=True),
+        gen_buses=positions[:n_gen],
+        comp_buses=positions[n_gen:],
+        q_min=np.array([lo for lo, _ in limits]),
+        q_max=np.array([hi for _, hi in limits]),
+        bounds=[VOLTAGE_SETPOINT_BOX] * n_gen + limits[n_gen:],
         v_min=np.array([b.v_min for b in case.buses]),
         v_max=np.array([b.v_max for b in case.buses]),
         penalties=penalties or PenaltyConfig(),
     )
 
 
-def swarm_fitness(problem: DispatchProblem, decisions: np.ndarray) -> np.ndarray:
-    """Objective cost plus exterior penalties of each row of an (S, D)
-    array of decisions, source order; returns S values.
+def _score(
+    problem: DispatchProblem, outputs: np.ndarray, v: np.ndarray, converged: np.ndarray
+) -> np.ndarray:
+    """Penalized objective of source outputs (S, D) and the bus voltages
+    (S, n) of their flows: the cost of the outputs clipped to their limits,
+    plus voltage_weight times (band violation + squared excess over the
+    limits), plus NONCONVERGENCE_PENALTY where the flow did not converge."""
+    held = np.clip(outputs, problem.q_min, problem.q_max)
+    excess = outputs - held
+    cost = sum(total_reactive_cost(problem.case, held.T), 0.0)
+    violation = _band_violation(v, problem.v_min, problem.v_max) + np.sum(excess * excess, axis=-1)
+    value = cost + problem.penalties.voltage_weight * violation
+    value[~converged] += NONCONVERGENCE_PENALTY
+    return value
 
-    Each row is scored as if alone, so a stack gives the values its
-    members would give one by one.
-    """
-    return _swarm_scores(problem, decisions, None)[0]
 
-
-def _swarm_scores(
-    problem: DispatchProblem,
-    decisions: np.ndarray,
-    ceiling: np.ndarray | None,
-) -> tuple[np.ndarray, StackSolution]:
-    """`swarm_fitness` values and the flows they were scored on.
-
-    A row whose ceiling (shape (S,), the value it must beat, such as a
-    particle's personal best) is no higher than its cost plus
-    NONCONVERGENCE_PENALTY, the least a non-converged flow scores, can
-    only matter by converging: its flow gives up at its first residual
-    rise after the first Newton step (`solve_stack`). Values below their
-    ceiling are the ceiling-free values bit for bit; the others are at
-    least their ceiling. So the ceiling changes no value that beats it as
-    long as no flow that converges rises after step 1; `run_ropf` stops
-    passing a ceiling once an unflagged flow breaks that.
-    """
-    x = np.asarray(decisions, dtype=float)
-    if x.ndim != 2 or x.shape[1] != problem.positions.size:
-        raise ValueError(
-            f"expected an (S, {problem.positions.size}) array of decisions, got shape {x.shape}"
-        )
-    cost = sum(total_reactive_cost(problem.case, x.T), 0.0)
+def _swarm_flows(problem: DispatchProblem, positions: np.ndarray) -> tuple[np.ndarray, StackSolution]:
+    """The flows of swarm positions (S, D) and the source outputs (S, D)
+    they give. A generator outputs the computed reactive injection at its
+    bus minus the specified one (load and compensator), split evenly among
+    the generators there; a compensator outputs what the row sets."""
+    x = np.asarray(positions, dtype=float)
+    gen, n_gen = problem.gen_buses, problem.gen_buses.size
+    if x.ndim != 2 or x.shape[1] != n_gen + problem.comp_buses.size:
+        raise ValueError(f"expected an (S, {len(problem.bounds)}) array of positions, got shape {x.shape}")
     base = problem.base
     q = np.repeat(base.q[None, :], len(x), axis=0)
-    _add_source_outputs(q, problem.positions, x)
-    spec = InjectionSpec(np.broadcast_to(base.p, q.shape), q, base.roles, base.v_setpoint)
-    quick = None if ceiling is None else ceiling <= cost + NONCONVERGENCE_PENALTY
-    flows = solve_stack(spec, problem.ybus, quick=quick)
-    weight = problem.penalties.voltage_weight
-    value = cost + weight * _band_violation(flows.v, problem.v_min, problem.v_max)
-    value[~flows.converged] += NONCONVERGENCE_PENALTY
-    return value, flows
+    _add_source_outputs(q, problem.comp_buses, x[:, n_gen:])
+    v_set = np.repeat(base.v_setpoint[None, :], len(x), axis=0)
+    v_set[:, gen] = x[:, :n_gen]
+    p = np.broadcast_to(base.p, q.shape)
+    flows = solve_stack(InjectionSpec(p, q, base.roles, v_set), problem.ybus)
+    _, dq = compute_mismatch(flows.v, flows.delta, p, q, problem.ybus)
+    sharing = np.count_nonzero(gen[:, None] == gen[None, :], axis=0)
+    return np.concatenate([-dq[:, gen] / sharing, x[:, n_gen:]], axis=1), flows
+
+
+def swarm_fitness(problem: DispatchProblem, positions: np.ndarray) -> np.ndarray:
+    """Penalized objective of each row of an (S, D) array of swarm
+    positions, generator voltage setpoints then compensator outputs inside
+    problem.bounds; returns S values. A row's flow holds the generator
+    buses at its setpoints and is scored (`_score`) on the source outputs
+    it gives. Each row is scored as if alone, so a stack gives the values
+    its members would give one by one.
+    """
+    outputs, flows = _swarm_flows(problem, positions)
+    return _score(problem, outputs, flows.v, flows.converged)
 
 
 def evaluate_fitness(
@@ -308,12 +334,12 @@ def evaluate_fitness(
     decision: DecisionVector,
     penalties: PenaltyConfig | None = None,
 ) -> float:
-    """Objective cost plus exterior penalties at one decision: swarm_fitness
-    on a stack of one."""
-    if len(decision.q_generators) != len(dispatchable_generators(case)):
-        raise ValueError("decision vector does not match the case sources")
+    """Penalized objective of a decision vector, scored as swarm_fitness
+    scores a row, on the flow that injects the decision's reactive outputs
+    (every generator bus PQ)."""
     problem = compile_problem(case, penalties)
-    return float(swarm_fitness(problem, decision.as_array()[None, :])[0])
+    flow = solve_power_flow(case, build_injections(case, decision), problem.ybus)
+    return float(_score(problem, decision.as_array()[None, :], flow.v, np.array([flow.converged]))[0])
 
 
 def baseline_loss(
@@ -339,7 +365,13 @@ def run_ropf(
     params: PsoParams | None = None,
     penalties: PenaltyConfig | None = None,
 ) -> RopfReport:
-    """Minimize the total reactive support cost subject to the power flow."""
+    """Minimize the total reactive support cost subject to the power flow.
+
+    The swarm searches generator voltage setpoints and compensator outputs
+    (`swarm_fitness`). The answer is the source outputs of the best
+    position's flow, clipped to their limits, and the report's flow is the
+    flat-start flow that injects them.
+    """
     params = params or PsoParams()
     problem = compile_problem(case, penalties)
     ybus = problem.ybus
@@ -350,23 +382,9 @@ def run_ropf(
     kinds = ("generator",) * len(gens) + ("compensator",) * len(case.compensators)
     buses = tuple(g.bus for g in gens) + tuple(c.bus for c in case.compensators)
 
-    # pso moves a personal best only on strict improvement, so the running
-    # minimum of the values returned for a particle is its personal best.
-    # It is the ceiling until a flow that converges rises after step 1,
-    # which could make the early stop drop it; the first call, with every
-    # ceiling infinite, checks that on the whole swarm.
-    pbest = np.full(params.swarm_size, np.inf)
-    early = True
-
-    def fitness(x: np.ndarray) -> np.ndarray:
-        nonlocal early
-        value, flows = _swarm_scores(problem, x, pbest if early else None)
-        early = early and not np.any(flows.converged & flows.rose)
-        np.fmin(pbest, value, out=pbest)
-        return value
-
-    result = pso.optimize(fitness, decision_bounds(case), params)
-    decision = DecisionVector.from_array(case, result.position)
+    result = pso.optimize(lambda x: swarm_fitness(problem, x), problem.bounds, params)
+    outputs, _ = _swarm_flows(problem, result.position[None, :])
+    decision = DecisionVector.from_array(case, np.clip(outputs[0], problem.q_min, problem.q_max))
 
     solution = solve_power_flow(case, build_injections(case, decision), ybus)
     q = decision.q_generators + decision.q_compensators

@@ -14,15 +14,11 @@ so an optimizer can penalize it.
 
 One Newton loop (`solve_stack`) solves a stack of S injection sets that
 share a network, its admittance matrix and the bus roles, each member with
-its own convergence and failure mask; `solve_power_flow` is that loop run
-on a stack of one. Every member's arithmetic is the one a lone solve does
-(one matrix-vector product per member, elementwise Jacobian terms, one
-LAPACK solve per member), so a member's result does not depend on the rest
-of its stack. A member whose caller only needs its convergence can be
-flagged to give up at its first residual rise after step 1 (a residual
-form of Deuflhard's monotonicity test for Newton divergence). Every member
-reports whether its residual rose, so a caller can check on its unflagged
-flows that converging ones do not.
+its own injections, setpoints, convergence and failure mask;
+`solve_power_flow` is that loop run on a stack of one. Every member's
+arithmetic is the one a lone solve does (one matrix-vector product per
+member, elementwise Jacobian terms, one LAPACK solve per member), so a
+member's result does not depend on the rest of its stack.
 """
 
 from __future__ import annotations
@@ -48,8 +44,7 @@ __all__ = [
 ]
 
 # A solve converges when its largest residual reaches TOLERANCE and gives
-# up after MAX_ITERATIONS Newton steps, a flagged stack member at an
-# earlier residual rise (`solve_stack`).
+# up after MAX_ITERATIONS Newton steps.
 TOLERANCE = 1e-6
 MAX_ITERATIONS = 50
 
@@ -65,10 +60,11 @@ class InjectionSpec:
     """Specified net injections and bus roles, index-aligned with a case.
 
     p and q are per-unit net injections, shape (n,) for one injection set
-    or (S, n) for a stack of S sets sharing roles and setpoints. The slack
-    entry of both and the q entry of PV buses are ignored; those quantities
-    are outcomes, not inputs. v_setpoint holds the magnitude targets for
-    the slack and PV buses (entries elsewhere are ignored).
+    or (S, n) for a stack of S sets sharing roles. The slack entry of both
+    and the q entry of PV buses are ignored; those quantities are outcomes,
+    not inputs. v_setpoint holds the magnitude targets for the slack and
+    PV buses (entries elsewhere are ignored), (n,) for every member or one
+    row per member like p and q.
     """
 
     p: np.ndarray
@@ -81,14 +77,13 @@ class InjectionSpec:
         q = np.asarray(self.q, dtype=float)
         roles = np.asarray(self.roles, dtype=int)
         v_set = np.asarray(self.v_setpoint, dtype=float)
-        if not (
-            p.shape == q.shape and p.ndim in (1, 2) and p.shape[-1:] == roles.shape == v_set.shape
-        ):
+        per_bus = p.shape == q.shape and p.ndim in (1, 2) and p.shape[-1:] == roles.shape
+        if not (per_bus and v_set.shape in (roles.shape, p.shape)):
             raise ValueError("injection arrays must share one shape per bus")
         if int(np.sum(roles == BusRole.SLACK)) != 1:
             raise ValueError("exactly one slack bus required")
         held = (roles == BusRole.SLACK) | (roles == BusRole.PV)
-        if np.any(v_set[held] <= 0):
+        if np.any(v_set[..., held] <= 0):
             raise ValueError("slack and PV setpoints must be positive")
         for name, arr in (("p", p), ("q", q), ("roles", roles), ("v_setpoint", v_set)):
             arr.flags.writeable = False
@@ -121,15 +116,13 @@ class PowerFlowSolution:
 
 class StackSolution(NamedTuple):
     """Final (or last attempted) states of a stacked solve, one row per
-    member; rose tells whether the member's largest residual rose at some
-    Newton step k >= 2."""
+    member."""
 
     v: np.ndarray
     delta: np.ndarray
     iterations: np.ndarray
     max_mismatch: np.ndarray
     converged: np.ndarray
-    rose: np.ndarray
 
 
 def _matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -248,25 +241,18 @@ def solve_stack(
     spec: InjectionSpec,
     ybus: AdmittanceMatrix,
     start: tuple[np.ndarray, np.ndarray] | None = None,
-    quick: np.ndarray | None = None,
 ) -> StackSolution:
     """Solve the AC power flow of every injection set in a stack.
 
     spec.p and spec.q are (S, n), or (n,) for a stack of one. Starts from
     the supplied (v, delta) pair, (n,) or (S, n), or flat without one.
-    Voltage magnitudes of the slack and PV buses are held at their
-    setpoints; the slack angle is zero. A member stops as converged when
-    its residual norm reaches TOLERANCE, and as not converged after
-    MAX_ITERATIONS steps, or when its Newton step is singular or
-    non-finite or would leave a non-finite or non-positive voltage
-    magnitude; it then keeps its last usable state. A member flagged in
-    the boolean mask quick, shape (S,), also stops as not converged at
-    the first step k >= 2 whose residual norm is above that of step
-    k - 1. That spares the steps of a flow that will not converge, and it
-    changes no converging flow as long as those, like every converging
-    flow of the bundled decision box, never rise after step 1. The other
-    members are unaffected. Every member, flagged or not, reports in
-    rose whether its residual rose at a step k >= 2.
+    Voltage magnitudes of the slack and PV buses are held at each member's
+    setpoints (spec.v_setpoint, (n,) or one row per member); the slack
+    angle is zero. A member stops as converged when its residual norm
+    reaches TOLERANCE, and as not converged after MAX_ITERATIONS steps, or
+    when its Newton step is singular or non-finite or would leave a
+    non-finite or non-positive voltage magnitude; it then keeps its last
+    usable state. The other members are unaffected.
     """
     roles = spec.roles
     if ybus.n != roles.size:
@@ -284,17 +270,13 @@ def solve_stack(
     else:
         v = np.array(np.broadcast_to(start[0], shape), dtype=float)
         delta = np.array(np.broadcast_to(start[1], shape), dtype=float)
-    v[:, slack] = spec.v_setpoint[slack]
-    v[:, pv] = spec.v_setpoint[pv]
+    held = np.concatenate([[slack], pv])
+    v[:, held] = np.broadcast_to(spec.v_setpoint, shape)[:, held]
     delta[:, slack] = 0.0
 
     iterations = np.zeros(shape[0], dtype=int)
     max_mismatch = np.full(shape[0], np.inf)
     converged = np.zeros(shape[0], dtype=bool)
-    rose = np.zeros(shape[0], dtype=bool)
-    flagged = np.zeros(shape[0], dtype=bool)
-    if quick is not None:
-        flagged[:] = quick
     active = np.arange(shape[0])
     while active.size:
         v_now, delta_now = v[active], delta[active]
@@ -303,11 +285,8 @@ def solve_stack(
         worst = np.max(np.abs(residual), axis=1, initial=0.0)
         done = worst <= TOLERANCE
         converged[active[done]] = True
-        # max_mismatch still holds each member's residual of the step before
-        rising = (iterations[active] >= 2) & (worst > max_mismatch[active])
-        rose[active] |= rising
         max_mismatch[active] = worst
-        stepping = ~done & ~(rising & flagged[active]) & (iterations[active] < MAX_ITERATIONS)
+        stepping = ~done & (iterations[active] < MAX_ITERATIONS)
         if not stepping.any():
             break
         active, v_now, delta_now = active[stepping], v_now[stepping], delta_now[stepping]
@@ -324,7 +303,7 @@ def solve_stack(
         v[active] = v_now[usable]
         delta[active] = delta_now[usable]
         iterations[active] += 1
-    return StackSolution(v, delta, iterations, max_mismatch, converged, rose)
+    return StackSolution(v, delta, iterations, max_mismatch, converged)
 
 
 def solve_power_flow(

@@ -53,12 +53,13 @@ Bounds = Sequence[tuple[float, float]]
 
 @dataclass(frozen=True)
 class PsoParams:
-    """Swarm configuration. Defaults suit low-dimensional dispatch boxes."""
+    """Swarm configuration. Defaults suit low-dimensional dispatch boxes; the
+    inertia contracts from 0.9 to 0.4 (Shi & Eberhart, IEEE ICEC 1998)."""
 
     swarm_size: int = 30
     max_iterations: int = 300
-    w_start: float = 1.2
-    w_end: float = 0.9
+    w_start: float = 0.9
+    w_end: float = 0.4
     c1: float = 2.0
     c2: float = 2.0
     seed: int = 1

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from ropf.data import case_text, load_case
@@ -57,33 +55,6 @@ def compensated_case() -> NetworkCase:
         compensators=(Compensator(2, 0.0, 0.2, 0.0354),),
         loads=base.loads,
     )
-
-
-def area_chain(case: NetworkCase, areas: int) -> NetworkCase:
-    """`areas` copies of the bundled case in a row (the tiling of
-    perfbench's grid workload, loads unscaled), each joined to the next by
-    lines between their buses 14 and between their buses 9. Bus 14 of every
-    copy after the first is a generator like the one at bus 2, scheduled at
-    0.38 p.u., and copy 0 keeps the only slack bus."""
-    stride = max(b.id for b in case.buses)
-    template = next(g for g in case.generators if g.bus == 2)
-    buses, branches, gens, comps, loads = [], [], [], [], []
-    for a in range(areas):
-        shift = a * stride
-        for b in case.buses:
-            kind = "generator" if a and b.id == 14 else b.kind
-            buses.append(replace(b, id=b.id + shift, kind=kind))
-        branches += [
-            replace(br, from_bus=br.from_bus + shift, to_bus=br.to_bus + shift)
-            for br in case.branches
-        ]
-        gens += [replace(g, bus=g.bus + shift) for g in case.generators]
-        comps += [replace(c, bus=c.bus + shift) for c in case.compensators]
-        loads += [replace(ld, bus=ld.bus + shift) for ld in case.loads]
-        if a:
-            branches += [Branch(t + shift - stride, t + shift, 0.02, 0.08, 0.02) for t in (14, 9)]
-            gens.append(replace(template, bus=14 + shift, p_output=0.38))
-    return NetworkCase(case.base_mva, tuple(buses), tuple(branches), tuple(gens), tuple(comps), tuple(loads))
 
 
 @pytest.fixture(scope="session")

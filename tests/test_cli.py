@@ -24,8 +24,8 @@ SEARCH_DEFAULTS = {
     "seed": 1,
     "swarm_size": 30,
     "iterations": 300,
-    "w_start": 1.2,
-    "w_end": 0.9,
+    "w_start": 0.9,
+    "w_end": 0.4,
     "c1": 2.0,
     "c2": 2.0,
     "voltage_weight": 10000.0,
@@ -334,6 +334,6 @@ def test_parser_defaults_match_documented_interface():
     assert args.seed == 1
     assert args.swarm_size == 30
     assert args.iterations == 300
-    assert args.w_start == 1.2
-    assert args.w_end == 0.9
+    assert args.w_start == 0.9
+    assert args.w_end == 0.4
     assert args.output_format == "text"

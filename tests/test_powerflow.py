@@ -19,8 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import two_bus_case
-from ropf.dispatch import DecisionVector, build_injections, decision_bounds, unity_power_factor_case
-from ropf import powerflow
+from ropf.dispatch import DecisionVector, build_injections, decision_bounds
 from ropf.netmodel import Branch, Bus, Load, NetworkCase, build_admittance
 from ropf.powerflow import (
     MAX_ITERATIONS,
@@ -79,11 +78,18 @@ def test_spec_rejects_shape_mismatch():
         InjectionSpec(
             p=np.zeros(3), q=np.zeros(2), roles=np.array([PQ, SLACK]), v_setpoint=np.ones(2)
         )
+    # setpoints are one row for every member or one row per member
+    make_spec(np.zeros((3, 2)), np.zeros((3, 2)), [PQ, SLACK], v_setpoint=np.ones((3, 2)))
+    for v_setpoint in (np.ones((2, 2)), np.ones((3, 2, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            make_spec(np.zeros((3, 2)), np.zeros((3, 2)), [PQ, SLACK], v_setpoint=v_setpoint)
 
 
 def test_spec_rejects_nonpositive_setpoint():
     with pytest.raises(ValueError, match="setpoint"):
         make_spec([0.0, 0.0], [0.0, 0.0], [PQ, SLACK], v_setpoint=[1.0, 0.0])
+    with pytest.raises(ValueError, match="setpoint"):
+        make_spec(np.zeros((2, 2)), np.zeros((2, 2)), [PQ, SLACK], v_setpoint=[[1.0, 1.0], [1.0, -0.1]])
 
 
 def test_mismatch_polar_formula_hand_values():
@@ -266,153 +272,25 @@ def capped_box_spec(case):
     pytest.fail("no flow of the seeded decision box runs to the iteration cap")
 
 
-def stack_of(specs):
-    return InjectionSpec(
-        np.array([s.p for s in specs]), np.array([s.q for s in specs]), specs[0].roles, specs[0].v_setpoint
-    )
-
-
-@pytest.mark.parametrize("unity", [False, True], ids=["bundled", "unity-power-factor"])
-def test_converging_box_flows_need_no_more_than_the_quick_cap(fixture_case, unity):
-    # Flagged flows were once also cut off after a fixed 15 steps, the quick
-    # cap. Deleting it changed no answer because every flow of the dispatch
-    # box that converges at all does so within those 15 steps; some do and
-    # some do not, so the box exercises both outcomes.
-    case = unity_power_factor_case(fixture_case) if unity else fixture_case
-    flows = solve_stack(stack_of(box_specs(case, 1000, seed=23)), build_admittance(case))
-    assert 0 < np.count_nonzero(flows.converged) < 1000
-    assert np.max(flows.iterations[flows.converged]) <= 15
-
-
-@pytest.mark.parametrize("unity", [False, True], ids=["bundled", "unity-power-factor"])
-def test_flagging_every_box_flow_changes_no_converging_flow(fixture_case, unity):
-    # A flagged member also stops when its residual rises after step 1.
-    # The swarm's answers stay the same only while no flow of the dispatch
-    # box that converges unflagged is stopped by that rule. Unflagged, the
-    # box flows that fail run to MAX_ITERATIONS; flagged, the rule stops
-    # every one of them within 10 steps.
-    case = unity_power_factor_case(fixture_case) if unity else fixture_case
-    ybus = build_admittance(case)
-    spec = stack_of(box_specs(case, 1000, seed=23))
-    plain = solve_stack(spec, ybus)
-    flagged = solve_stack(spec, ybus, quick=np.ones(1000, dtype=bool))
-    assert np.array_equal(flagged.converged, plain.converged)
-    ok = plain.converged
-    assert not np.any(plain.rose[ok]) and np.any(plain.rose)
-    assert np.array_equal(flagged.iterations[ok], plain.iterations[ok])
-    assert np.array_equal(flagged.max_mismatch[ok], plain.max_mismatch[ok])
-    assert np.array_equal(flagged.v[ok], plain.v[ok])
-    assert np.array_equal(flagged.delta[ok], plain.delta[ok])
-    assert np.max(flagged.iterations[~ok]) <= 10
-    assert np.max(plain.iterations[~ok]) == MAX_ITERATIONS
-
-
-def residual_trace(monkeypatch, case, spec, ybus):
-    """A lone unflagged solve and, for each Newton step k = 0, 1, ..., the
-    largest residual at step k and the voltage state it was taken at."""
-    pvpq = np.flatnonzero(spec.roles != SLACK)
-    pq = np.flatnonzero(spec.roles == PQ)
-    trace = []
-
-    def recording_mismatch(v, delta, p, q, ybus):
-        dp, dq = compute_mismatch(v, delta, p, q, ybus)
-        worst = max(np.max(np.abs(dp[0, pvpq])), np.max(np.abs(dq[0, pq]), initial=0.0))
-        trace.append((float(worst), v[0].copy(), delta[0].copy()))
-        return dp, dq
-
-    monkeypatch.setattr(powerflow, "compute_mismatch", recording_mismatch)
-    solution = solve_power_flow(case, spec, ybus)
-    monkeypatch.undo()
-    return solution, trace
-
-
-def first_rise(trace):
-    worst = [w for w, _, _ in trace]
-    return next((k for k in range(2, len(worst)) if worst[k] > worst[k - 1]), None)
-
-
-def test_quick_member_stops_at_its_first_rise_after_step_one(monkeypatch):
-    # Just past the lossless feeder's nose point p = 1/(2x) = 5 no solution
-    # exists; Newton wanders with |V| > 0 and its residual rises at step 6.
-    case = two_bus_case(reactance=0.1, p_load=5.01)
-    ybus = build_admittance(case)
-    spec = make_spec([-5.01, 0.0], [0.0, 0.0], [PQ, SLACK])
-    plain, trace = residual_trace(monkeypatch, case, spec, ybus)
-    rise = first_rise(trace)
-    assert rise == 6
-    assert not plain.converged and plain.iterations == MAX_ITERATIONS
-    assert min(float(v[0]) for _, v, _ in trace) > 0
-    assert solve_stack(spec, ybus).rose.tolist() == [True]
-
-    flagged = solve_stack(spec, ybus, quick=[True])
-    assert not flagged.converged[0]
-    assert flagged.iterations[0] == rise
-    assert flagged.max_mismatch[0] == trace[rise][0]
-    assert np.array_equal(flagged.v[0], trace[rise][1])
-    assert np.array_equal(flagged.delta[0], trace[rise][2])
-
-    # Stacked with a converging mate, both flagged, neither member changes.
-    pair = make_spec([[-5.01, 0.0], [-0.5, 0.0]], np.zeros((2, 2)), [PQ, SLACK])
-    both = solve_stack(pair, ybus, quick=[True, True])
-    mate = solve_power_flow(case, make_spec([-0.5, 0.0], [0.0, 0.0], [PQ, SLACK]), ybus)
-    assert both.converged.tolist() == [False, True]
-    assert both.iterations.tolist() == [rise, mate.iterations]
-    assert both.max_mismatch.tolist() == [flagged.max_mismatch[0], mate.max_mismatch]
-    assert np.array_equal(both.v, [flagged.v[0], mate.v])
-    assert np.array_equal(both.delta, [flagged.delta[0], mate.delta])
-
-
-def test_a_flagged_flow_whose_residual_never_rises_runs_as_unflagged(monkeypatch):
-    # At the nose point Newton converges only linearly, its residual falling
-    # about fourfold per step. On a stiff line (x = 1/2560, nose at 1280 p.u.)
-    # that takes 16 steps; with no rise the flag stops nothing.
-    x = 0.1 / 256
-    case = two_bus_case(reactance=x, p_load=1 / (2 * x))
-    ybus = build_admittance(case)
-    spec = make_spec([-1 / (2 * x), 0.0], [0.0, 0.0], [PQ, SLACK])
-    _, trace = residual_trace(monkeypatch, case, spec, ybus)
-    assert first_rise(trace) is None
-
-    plain = solve_stack(spec, ybus)
-    flagged = solve_stack(spec, ybus, quick=[True])
-    assert plain.converged.tolist() == flagged.converged.tolist() == [True]
-    assert plain.iterations.tolist() == flagged.iterations.tolist() == [16]
-    assert plain.rose.tolist() == flagged.rose.tolist() == [False]
-    assert np.array_equal(flagged.max_mismatch, plain.max_mismatch)
-    assert np.array_equal(flagged.v, plain.v)
-    assert np.array_equal(flagged.delta, plain.delta)
-
-
-def test_quick_members_stop_at_their_first_rise_and_leave_the_rest_bitwise(
-    fixture_case, monkeypatch
-):
-    # Member 0 runs to the iteration cap when alone; flagged, it stops at
-    # its first residual rise after step 1, well before that cap. The
-    # members are flagged and not flagged in turn.
-    case = fixture_case
-    ybus = build_admittance(case)
-    specs = [capped_box_spec(case)] + box_specs(case, 120, seed=5)
-    quick = np.arange(len(specs)) % 2 == 0
-    _, trace = residual_trace(monkeypatch, case, specs[0], ybus)
-    rise = first_rise(trace)
-    assert rise is not None and rise < MAX_ITERATIONS
-
-    flows = solve_stack(stack_of(specs), ybus, quick=quick)
-    assert not flows.converged[0] and flows.iterations[0] == rise
-    assert flows.max_mismatch[0] == trace[rise][0]
-    assert np.array_equal(flows.v[0], trace[rise][1])
-    failed = ~flows.converged
-    assert np.max(flows.iterations[~quick & failed]) > np.max(flows.iterations[quick & failed])
-    assert np.any(flows.converged[quick]) and np.any(flows.converged[~quick])
-    for k, spec in enumerate(specs):
-        if quick[k] and not flows.converged[k]:
-            alone_quick = solve_stack(stack_of([spec]), ybus, quick=[True])
-            assert alone_quick.iterations[0] == flows.iterations[k]
-            assert alone_quick.max_mismatch[0] == flows.max_mismatch[k]
-            assert np.array_equal(alone_quick.v[0], flows.v[k])
-            assert np.array_equal(alone_quick.delta[0], flows.delta[k])
-            continue
-        alone = solve_power_flow(case, spec, ybus)
+def test_stack_with_per_member_setpoints_equals_lone_solves(fixture_case):
+    # The reference flow's roles with each member's own slack and generator
+    # voltage setpoints and compensator outputs; every member of the stack
+    # ends at the bits of its lone solve.
+    base = build_injections(fixture_case, None, generators_pv=True)
+    held = np.flatnonzero(base.roles != PQ)
+    comps = [fixture_case.index_of(c.bus) for c in fixture_case.compensators]
+    rng = np.random.default_rng(41)
+    v_set = np.repeat(base.v_setpoint[None, :], 40, axis=0)
+    v_set[:, held] = rng.uniform(0.9, 1.1, size=(40, held.size))
+    q = np.repeat(base.q[None, :], 40, axis=0)
+    q[:, comps] += rng.uniform(0.0, 0.3, size=(40, len(comps)))
+    p = np.repeat(base.p[None, :], 40, axis=0)
+    ybus = build_admittance(fixture_case)
+    flows = solve_stack(InjectionSpec(p, q, base.roles, v_set), ybus)
+    assert np.all(flows.converged)
+    assert np.array_equal(flows.v[:, held], v_set[:, held])
+    for k in range(40):
+        alone = solve_power_flow(fixture_case, InjectionSpec(p[k], q[k], base.roles, v_set[k]), ybus)
         assert alone.converged == flows.converged[k]
         assert alone.iterations == flows.iterations[k]
         assert alone.max_mismatch == flows.max_mismatch[k]

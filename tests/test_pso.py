@@ -76,6 +76,16 @@ def test_inertia_schedule_endpoints_and_midpoint():
     assert inertia_weight(one_shot, 0) == 1.2
 
 
+def test_shipped_inertia_schedule_contracts_from_0_9_to_0_4():
+    # 300 updates: the first uses 0.9, each later one 0.5 / 299 less, the
+    # last 0.4, so every update contracts the velocity
+    params = PsoParams()
+    assert (params.w_start, params.w_end, params.max_iterations) == (0.9, 0.4, 300)
+    assert inertia_weight(params, 0) == 0.9
+    assert inertia_weight(params, 1) == pytest.approx(0.9 - 0.5 / 299, abs=1e-15)
+    assert inertia_weight(params, 299) == pytest.approx(0.4, abs=1e-15)
+
+
 def test_velocity_update_hand_arithmetic():
     params = PsoParams(c1=2.0, c2=2.0)
     v = update_velocity(
