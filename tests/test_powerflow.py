@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import two_bus_case
-from ropf.dispatch import DecisionVector, build_injections, decision_bounds
+from ropf.dispatch import DecisionVector, build_injections, decision_bounds, unity_power_factor_case
 from ropf.netmodel import Branch, Bus, Load, NetworkCase, build_admittance
 from ropf.powerflow import (
     MAX_ITERATIONS,
@@ -270,6 +270,24 @@ def capped_box_spec(case):
         if not solution.converged and solution.iterations == MAX_ITERATIONS:
             return spec
     pytest.fail("no flow of the seeded decision box runs to the iteration cap")
+
+
+def stack_of(specs):
+    return InjectionSpec(
+        np.array([s.p for s in specs]), np.array([s.q for s in specs]), specs[0].roles, specs[0].v_setpoint
+    )
+
+
+@pytest.mark.parametrize("unity", [False, True], ids=["bundled", "unity-power-factor"])
+def test_converging_box_flows_need_no_more_than_the_quick_cap(fixture_case, unity):
+    # The decision box that evaluate_fitness scores, generators held as PQ
+    # at their reactive outputs: some of its flows converge and some do not,
+    # and every one that converges does so within 15 steps (the step count
+    # the former quick cap stopped flows at).
+    case = unity_power_factor_case(fixture_case) if unity else fixture_case
+    flows = solve_stack(stack_of(box_specs(case, 1000, seed=23)), build_admittance(case))
+    assert 0 < np.count_nonzero(flows.converged) < 1000
+    assert np.max(flows.iterations[flows.converged]) <= 15
 
 
 def test_stack_with_per_member_setpoints_equals_lone_solves(fixture_case):
