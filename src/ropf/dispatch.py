@@ -7,10 +7,12 @@ case order. The swarm searches the usual form of optimal reactive
 dispatch instead: generator buses are voltage-held (PV), a particle sets
 the generator voltages, then the compensator outputs, and a generator's
 reactive output is a result of the flow, held to its limits by a penalty.
-A run compiles its case once (`compile_problem`) and scores the whole
-swarm through one stacked power flow (`swarm_fitness`: (S, D) to S
-values). `evaluate_fitness` scores a decision vector on its own flow
-through the same scorer.
+A run compiles its case once (`compile_problem`), solving the reference
+flow and its sensitivities, and scores the whole swarm through one
+stacked power flow (`swarm_fitness`: (S, D) to S values) that starts each
+row at the reference flow's linear prediction for it. `evaluate_fitness`
+scores a decision vector on its own flat-start flow through the same
+scorer.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from .powerflow import (
     InjectionSpec,
     PowerFlowSolution,
     StackSolution,
+    _matvec,
     compute_mismatch,
+    mismatch_jacobian,
     solve_power_flow,
     solve_stack,
     total_losses,
@@ -241,8 +245,13 @@ class DispatchProblem:
 
     base holds the injections with the generator buses voltage-held and
     every source at zero output (loads and scheduled active generation);
+    reference is base's flow from a flat start, converged or not, and
+    sensitivity its linear change of the unknowns per unit change of the
+    pv setpoints and pq reactive injections (None when reference did not
+    converge). pv and pq are the positions of base's PV and PQ buses;
     gen_buses and comp_buses map the generators and compensators to their
-    buses (-1: left to the slack balance); q_min and q_max are the source
+    buses (-1: left to the slack balance), and sharing counts the
+    generators at each generator's bus. q_min and q_max are the source
     limits and bounds the swarm's box, both in source order. Build it with
     compile_problem.
     """
@@ -250,7 +259,12 @@ class DispatchProblem:
     case: NetworkCase
     ybus: AdmittanceMatrix
     base: InjectionSpec
+    reference: PowerFlowSolution
+    sensitivity: np.ndarray | None
+    pv: np.ndarray
+    pq: np.ndarray
     gen_buses: np.ndarray
+    sharing: np.ndarray
     comp_buses: np.ndarray
     q_min: np.ndarray
     q_max: np.ndarray
@@ -260,16 +274,41 @@ class DispatchProblem:
     penalties: PenaltyConfig
 
 
+def _sensitivity(reference: PowerFlowSolution, ybus: AdmittanceMatrix, pv: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """Linear change of a flow's unknowns (angles at the pv then pq buses,
+    magnitudes at the pq buses) per unit change of its inputs (the pv
+    setpoints, then the pq reactive injections), at a converged flow: the
+    sensitivities of Peschon et al. (IEEE TPAS 87(8), 1968)."""
+    pvpq = np.concatenate([pv, pq])
+    m = pvpq.size + pq.size
+    jac = mismatch_jacobian(reference.v, reference.delta, ybus, pvpq, np.concatenate([pq, pv]))
+    inputs = np.concatenate([-jac[:m, m:], np.eye(m)[:, pvpq.size :]], axis=1)
+    return np.linalg.solve(jac[:m, :m], inputs)
+
+
 def compile_problem(case: NetworkCase, penalties: PenaltyConfig | None = None) -> DispatchProblem:
-    """Everything the fitness needs from a case, as arrays built once."""
+    """Everything the fitness needs from a case, as arrays built once, and
+    the reference flow (`baseline_loss`'s, solved from flat) with its
+    sensitivities when it converges."""
     limits = decision_bounds(case)
     positions = _source_positions(case)
     n_gen = len(dispatchable_generators(case))
+    ybus = build_admittance(case)
+    base = build_injections(case, None, generators_pv=True)
+    pv = np.flatnonzero(base.roles == BusRole.PV)
+    pq = np.flatnonzero(base.roles == BusRole.PQ)
+    reference = solve_power_flow(case, base, ybus)
+    gen = positions[:n_gen]
     return DispatchProblem(
         case=case,
-        ybus=build_admittance(case),
-        base=build_injections(case, None, generators_pv=True),
-        gen_buses=positions[:n_gen],
+        ybus=ybus,
+        base=base,
+        reference=reference,
+        sensitivity=_sensitivity(reference, ybus, pv, pq) if reference.converged else None,
+        pv=pv,
+        pq=pq,
+        gen_buses=gen,
+        sharing=np.count_nonzero(gen[:, None] == gen[None, :], axis=0),
         comp_buses=positions[n_gen:],
         q_min=np.array([lo for lo, _ in limits]),
         q_max=np.array([hi for _, hi in limits]),
@@ -296,11 +335,29 @@ def _score(
     return value
 
 
+def _predicted_start(problem: DispatchProblem, q: np.ndarray, v_set: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start states (S, n) of the flows with reactive injections q and
+    setpoints v_set (S, n): the reference flow plus its sensitivities times
+    each row's change of inputs, one matrix-vector product per row (a
+    product with all rows at once is not bit-equal to a row alone)."""
+    pv, pq, reference = problem.pv, problem.pq, problem.reference
+    change = np.concatenate([v_set[:, pv] - reference.v[pv], q[:, pq] - problem.base.q[pq]], axis=1)
+    step = _matvec(problem.sensitivity, change)
+    v = np.repeat(reference.v[None, :], len(q), axis=0)
+    delta = np.repeat(reference.delta[None, :], len(q), axis=0)
+    k = pv.size + pq.size
+    delta[:, np.concatenate([pv, pq])] += step[:, :k]
+    v[:, pq] += step[:, k:]
+    return v, delta
+
+
 def _swarm_flows(problem: DispatchProblem, positions: np.ndarray) -> tuple[np.ndarray, StackSolution]:
     """The flows of swarm positions (S, D) and the source outputs (S, D)
-    they give. A generator outputs the computed reactive injection at its
-    bus minus the specified one (load and compensator), split evenly among
-    the generators there; a compensator outputs what the row sets."""
+    they give. A flow starts at its predicted state (`_predicted_start`),
+    or flat when the reference flow did not converge. A generator outputs
+    the computed reactive injection at its bus minus the specified one
+    (load and compensator), split evenly among the generators there; a
+    compensator outputs what the row sets."""
     x = np.asarray(positions, dtype=float)
     gen, n_gen = problem.gen_buses, problem.gen_buses.size
     if x.ndim != 2 or x.shape[1] != n_gen + problem.comp_buses.size:
@@ -311,10 +368,10 @@ def _swarm_flows(problem: DispatchProblem, positions: np.ndarray) -> tuple[np.nd
     v_set = np.repeat(base.v_setpoint[None, :], len(x), axis=0)
     v_set[:, gen] = x[:, :n_gen]
     p = np.broadcast_to(base.p, q.shape)
-    flows = solve_stack(InjectionSpec(p, q, base.roles, v_set), problem.ybus)
+    start = None if problem.sensitivity is None else _predicted_start(problem, q, v_set)
+    flows = solve_stack(InjectionSpec(p, q, base.roles, v_set), problem.ybus, start)
     _, dq = compute_mismatch(flows.v, flows.delta, p, q, problem.ybus)
-    sharing = np.count_nonzero(gen[:, None] == gen[None, :], axis=0)
-    return np.concatenate([-dq[:, gen] / sharing, x[:, n_gen:]], axis=1), flows
+    return np.concatenate([-dq[:, gen] / problem.sharing, x[:, n_gen:]], axis=1), flows
 
 
 def swarm_fitness(problem: DispatchProblem, positions: np.ndarray) -> np.ndarray:
@@ -342,6 +399,16 @@ def evaluate_fitness(
     return float(_score(problem, decision.as_array()[None, :], flow.v, np.array([flow.converged]))[0])
 
 
+def _reference_loss(solution: PowerFlowSolution, case: NetworkCase, ybus: AdmittanceMatrix) -> float:
+    """Cross-checked loss of the reference flow; DispatchError if it did not
+    converge."""
+    if not solution.converged:
+        raise DispatchError(
+            f"baseline power flow did not converge (residual {solution.max_mismatch:.3e})"
+        )
+    return total_losses(solution, case, ybus)
+
+
 def baseline_loss(
     case: NetworkCase,
     ybus: AdmittanceMatrix | None = None,
@@ -351,13 +418,8 @@ def baseline_loss(
     DispatchError if it does not converge."""
     if ybus is None:
         ybus = build_admittance(case)
-    spec = build_injections(case, None, generators_pv=True)
-    solution = solve_power_flow(case, spec, ybus)
-    if not solution.converged:
-        raise DispatchError(
-            f"baseline power flow did not converge (residual {solution.max_mismatch:.3e})"
-        )
-    return solution, total_losses(solution, case, ybus)
+    solution = solve_power_flow(case, build_injections(case, None, generators_pv=True), ybus)
+    return solution, _reference_loss(solution, case, ybus)
 
 
 def run_ropf(
@@ -370,13 +432,13 @@ def run_ropf(
     The swarm searches generator voltage setpoints and compensator outputs
     (`swarm_fitness`). The answer is the source outputs of the best
     position's flow, clipped to their limits, and the report's flow is the
-    flat-start flow that injects them.
+    flat-start flow that injects them. loss_before is the loss of the
+    compiled reference flow; DispatchError if that flow did not converge.
     """
     params = params or PsoParams()
     problem = compile_problem(case, penalties)
     ybus = problem.ybus
-
-    _, loss_before = baseline_loss(case, ybus)
+    loss_before = _reference_loss(problem.reference, case, ybus)
 
     gens = dispatchable_generators(case)
     kinds = ("generator",) * len(gens) + ("compensator",) * len(case.compensators)

@@ -83,8 +83,8 @@ class InjectionSpec:
         if int(np.sum(roles == BusRole.SLACK)) != 1:
             raise ValueError("exactly one slack bus required")
         held = (roles == BusRole.SLACK) | (roles == BusRole.PV)
-        if np.any(v_set[..., held] <= 0):
-            raise ValueError("slack and PV setpoints must be positive")
+        if not np.all(np.isfinite(v_set[..., held]) & (v_set[..., held] > 0)):
+            raise ValueError("slack and PV setpoints must be positive and finite")
         for name, arr in (("p", p), ("q", q), ("roles", roles), ("v_setpoint", v_set)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -274,34 +274,40 @@ def solve_stack(
     v[:, held] = np.broadcast_to(spec.v_setpoint, shape)[:, held]
     delta[:, slack] = 0.0
 
+    k = pvpq.size
     iterations = np.zeros(shape[0], dtype=int)
     max_mismatch = np.full(shape[0], np.inf)
     converged = np.zeros(shape[0], dtype=bool)
     active = np.arange(shape[0])
+    # While every member steps, the loop works on the stack's own arrays;
+    # once one stops, on copies of the rows still stepping, written back
+    # after each step.
+    v_now, delta_now, p_now, q_now = v, delta, p, q
     while active.size:
-        v_now, delta_now = v[active], delta[active]
-        dp, dq = compute_mismatch(v_now, delta_now, p[active], q[active], ybus)
+        dp, dq = compute_mismatch(v_now, delta_now, p_now, q_now, ybus)
         residual = np.concatenate([dp[:, pvpq], dq[:, pq]], axis=1)
         worst = np.max(np.abs(residual), axis=1, initial=0.0)
         done = worst <= TOLERANCE
         converged[active[done]] = True
         max_mismatch[active] = worst
         stepping = ~done & (iterations[active] < MAX_ITERATIONS)
-        if not stepping.any():
-            break
-        active, v_now, delta_now = active[stepping], v_now[stepping], delta_now[stepping]
+        if not stepping.all():
+            if not stepping.any():
+                break
+            active, residual = active[stepping], residual[stepping]
+            v_now, delta_now, p_now, q_now = v[active], delta[active], p[active], q[active]
         jac = mismatch_jacobian(v_now, delta_now, ybus, pvpq, pq)
-        dx = _newton_steps(jac, residual[stepping])
-        delta_now[:, pvpq] += dx[:, : pvpq.size]
-        v_now[:, pq] += dx[:, pvpq.size :]
-        usable = (
-            np.all(np.isfinite(dx), axis=1)
-            & np.all(np.isfinite(v_now), axis=1)
-            & np.all(v_now > 0, axis=1)
-        )
-        active = active[usable]
-        v[active] = v_now[usable]
-        delta[active] = delta_now[usable]
+        dx = _newton_steps(jac, residual)
+        v_pq = v_now[:, pq] + dx[:, k:]
+        usable = np.all(np.isfinite(dx), axis=1) & np.all(np.isfinite(v_pq) & (v_pq > 0), axis=1)
+        if not usable.all():
+            active, dx, v_pq = active[usable], dx[usable], v_pq[usable]
+            v_now, delta_now, p_now, q_now = v[active], delta[active], p[active], q[active]
+        delta_now[:, pvpq] += dx[:, :k]
+        v_now[:, pq] = v_pq
+        if v_now is not v:
+            v[active] = v_now
+            delta[active] = delta_now
         iterations[active] += 1
     return StackSolution(v, delta, iterations, max_mismatch, converged)
 

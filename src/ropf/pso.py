@@ -19,8 +19,8 @@ The fitness function scores the whole swarm at once: it takes the
 positions as an (S, D) array and returns S values, NaN counting as worst.
 It must be pure row by row, the value of a row depending on that row only.
 Every particle owns a counter-based random stream spawned from the master
-seed and draws r1, then r2, from it, so a seed reproduces its run bit for
-bit in one environment. Personal and global bests only move on strict
+seed and draws r1, then r2, from it, DRAW_BLOCK iterations per call, so a
+seed reproduces its run bit for bit in one environment. Personal and global bests only move on strict
 improvement, and the global reduction takes the lowest particle index
 among equal values, which keeps ties deterministic.
 """
@@ -46,6 +46,10 @@ logger = logging.getLogger(__name__)
 
 # A particle moves at most half its box's width per step in each dimension.
 V_MAX_FRACTION = 0.5
+# Each particle draws the uniforms of this many iterations in one call; a
+# stream read in one call gives the values of the same reads made one by
+# one, and the block bounds the memory held at any iteration count.
+DRAW_BLOCK = 64
 
 SwarmFitness = Callable[[np.ndarray], np.ndarray]
 Bounds = Sequence[tuple[float, float]]
@@ -105,11 +109,10 @@ def _check_bounds(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _draw_pairs(rngs: list[np.random.Generator], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two (S, D) arrays of uniform draws; row i takes 2 * D consecutive
-    values of particle i's stream, the first D to the first array."""
-    draws = np.array([rng.uniform(size=2 * dim) for rng in rngs])
-    return draws[:, :dim], draws[:, dim:]
+def _draw_block(rngs: list[np.random.Generator], dim: int, count: int) -> np.ndarray:
+    """(count, S, 2 * D) uniforms: particle i's next count * 2 * D stream
+    values, in stream order along the first and last axes."""
+    return np.stack([rng.uniform(size=(count, 2 * dim)) for rng in rngs], axis=1)
 
 
 def _evaluate(fitness: SwarmFitness, positions: np.ndarray) -> np.ndarray:
@@ -163,10 +166,11 @@ def optimize(fitness: SwarmFitness, bounds: Bounds, params: PsoParams) -> PsoRes
     """
     lower, upper = _check_bounds(bounds)
     v_max = V_MAX_FRACTION * (upper - lower)
+    dim = lower.size
     rngs = [_particle_rng(params.seed, i) for i in range(params.swarm_size)]
-    u_position, u_velocity = _draw_pairs(rngs, lower.size)
-    position = lower + u_position * (upper - lower)
-    velocity = -v_max + u_velocity * (2.0 * v_max)
+    draws = _draw_block(rngs, dim, min(DRAW_BLOCK, params.max_iterations + 1))
+    position = lower + draws[0, :, :dim] * (upper - lower)
+    velocity = -v_max + draws[0, :, dim:] * (2.0 * v_max)
     pbest_position = position.copy()
     pbest_fitness = np.full(params.swarm_size, math.inf)
     gbest_fitness = math.inf
@@ -175,7 +179,10 @@ def optimize(fitness: SwarmFitness, bounds: Bounds, params: PsoParams) -> PsoRes
     for iteration in range(-1, params.max_iterations):  # -1 scores the start
         if iteration >= 0:
             w = inertia_weight(params, iteration)
-            rand1, rand2 = _draw_pairs(rngs, lower.size)
+            row = (iteration + 1) % DRAW_BLOCK
+            if row == 0:
+                draws = _draw_block(rngs, dim, min(DRAW_BLOCK, params.max_iterations - iteration))
+            rand1, rand2 = draws[row, :, :dim], draws[row, :, dim:]
             velocity = update_velocity(
                 velocity, position, pbest_position, gbest_position, w, params, rand1, rand2
             )

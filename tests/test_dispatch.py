@@ -10,6 +10,7 @@ balance by the clipped amount, which the clipped-case test tracks exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import replace
 
@@ -204,6 +205,38 @@ def test_every_swarm_flow_converges_within_four_steps(fixture_case, unity):
     assert np.max(flows.iterations) <= 4
     outside = (outputs < problem.q_min) | (outputs > problem.q_max)
     assert 0 < np.count_nonzero(np.any(outside, axis=1)) < 1000
+
+
+@pytest.mark.parametrize("unity", [False, True], ids=["bundled", "unity-power-factor"])
+def test_predicted_start_reaches_the_flat_start_solution(fixture_case, unity):
+    # A swarm flow starts at the reference flow's linear prediction. On the
+    # box and its corners it lands on the solution a flat start finds, not
+    # on a low-voltage one, in fewer Newton steps. The two stop at residuals
+    # within TOLERANCE of zero, which leaves angles up to about 1.1e-6 rad
+    # apart (a flat start sits up to 7.7e-7 rad from the exact solution).
+    case = unity_power_factor_case(fixture_case) if unity else fixture_case
+    problem = compile_problem(case)
+    flat = replace(problem, sensitivity=None)
+    box = box_points(problem, 1000, seed=23)
+    corners = np.array(list(itertools.product(*problem.bounds)))
+    for points in (box, corners):
+        _, flows = dispatch._swarm_flows(problem, points)
+        _, from_flat = dispatch._swarm_flows(flat, points)
+        assert np.all(flows.converged) and np.all(from_flat.converged)
+        assert np.max(np.abs(flows.v - from_flat.v)) < 1e-6
+        assert np.max(np.abs(flows.delta - from_flat.delta)) < 2e-6
+        assert np.all(flows.iterations <= from_flat.iterations)
+    _, flows = dispatch._swarm_flows(problem, box)
+    assert np.mean(flows.iterations) <= 2.3 and np.max(flows.iterations) <= 3
+
+
+def test_a_case_whose_reference_flow_fails_starts_its_swarm_flat():
+    case = three_bus_case(p_load=80.0)
+    problem = compile_problem(case)
+    assert not problem.reference.converged and problem.sensitivity is None
+    assert np.all(swarm_fitness(problem, np.array([[0.9], [1.0], [1.1]])) >= 1e6)
+    with pytest.raises(DispatchError, match="converge"):
+        run_ropf(case, SMALL)
 
 
 def test_swarm_fitness_scores_the_generator_outputs_of_its_flow(fixture_case):

@@ -90,6 +90,9 @@ def test_spec_rejects_nonpositive_setpoint():
         make_spec([0.0, 0.0], [0.0, 0.0], [PQ, SLACK], v_setpoint=[1.0, 0.0])
     with pytest.raises(ValueError, match="setpoint"):
         make_spec(np.zeros((2, 2)), np.zeros((2, 2)), [PQ, SLACK], v_setpoint=[[1.0, 1.0], [1.0, -0.1]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="setpoint"):
+            make_spec([0.0, 0.0], [0.0, 0.0], [PQ, SLACK], v_setpoint=[1.0, bad])
 
 
 def test_mismatch_polar_formula_hand_values():

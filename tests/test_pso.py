@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from ropf.pso import (
+    DRAW_BLOCK,
     V_MAX_FRACTION,
     PsoParams,
     inertia_weight,
@@ -188,6 +189,46 @@ def test_positions_and_velocities_respect_limits_every_iteration():
     # a move is the clamped velocity, cut short only by a wall
     for before, after in zip(positions, positions[1:]):
         assert np.all(np.abs(after - before) <= v_max + 1e-12)
+
+
+def test_block_draws_equal_draws_made_one_iteration_at_a_time():
+    # optimize draws each particle's uniforms DRAW_BLOCK iterations at a
+    # time; the swarm it scores is the one of a plain loop that draws 2 * D
+    # values per particle per iteration, past a block boundary too.
+    bounds = [(-2.0, 1.0), (0.0, 4.0), (0.5, 0.5)]
+    params = PsoParams(swarm_size=5, max_iterations=DRAW_BLOCK + 6, seed=9)
+    recorder = Recorder(sphere)
+    optimize(recorder, bounds, params)
+
+    lower, upper = np.array(bounds).T
+    v_max = V_MAX_FRACTION * (upper - lower)
+    streams = [
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(params.seed, spawn_key=(i,))))
+        for i in range(params.swarm_size)
+    ]
+
+    def draw():
+        u = np.array([rng.uniform(size=2 * len(bounds)) for rng in streams])
+        return u[:, : len(bounds)], u[:, len(bounds) :]
+
+    u_position, u_velocity = draw()
+    x = lower + u_position * (upper - lower)
+    v = -v_max + u_velocity * (2.0 * v_max)
+    pbest, pbest_value = x.copy(), sphere(x)
+    expected = [x]
+    for iteration in range(params.max_iterations):
+        gbest = pbest[np.argmin(pbest_value)].copy()
+        rand1, rand2 = draw()
+        w = inertia_weight(params, iteration)
+        v = np.clip(update_velocity(v, x, pbest, gbest, w, params, rand1, rand2), -v_max, v_max)
+        x = np.clip(x + v, lower, upper)
+        value = sphere(x)
+        better = value < pbest_value
+        pbest[better], pbest_value[better] = x[better], value[better]
+        expected.append(x)
+    assert len(recorder.calls) == len(expected)
+    for (seen, _), want in zip(recorder.calls, expected):
+        assert np.array_equal(seen, want)
 
 
 def test_gbest_history_non_increasing():
