@@ -50,10 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         "seed": pso.seed,
         "swarm_size": pso.swarm_size,
         "iterations": pso.max_iterations,
-        "w_start": pso.w_start,
-        "w_end": pso.w_end,
-        "c1": pso.c1,
-        "c2": pso.c2,
         "voltage_weight": penalties.voltage_weight,
     }
     parser.set_defaults(**search)
@@ -82,15 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _search(args: argparse.Namespace) -> tuple[PsoParams, PenaltyConfig]:
-    params = PsoParams(
-        swarm_size=args.swarm_size,
-        max_iterations=args.iterations,
-        w_start=args.w_start,
-        w_end=args.w_end,
-        c1=args.c1,
-        c2=args.c2,
-        seed=args.seed,
-    )
+    params = PsoParams(swarm_size=args.swarm_size, max_iterations=args.iterations, seed=args.seed)
     return params, PenaltyConfig(voltage_weight=args.voltage_weight)
 
 

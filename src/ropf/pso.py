@@ -2,10 +2,12 @@
 
 Velocity update per particle:
 
-    v <- w * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x)
+    v <- w * v + C1 * r1 * (pbest - x) + C2 * r2 * (gbest - x)
 
-with r1, r2 fresh uniform draws per dimension, velocities clamped to a
-fraction of each dimension's range, and positions clipped to the bounds.
+with r1, r2 fresh uniform draws per dimension, the inertia w falling
+linearly from W_START to W_END over the run (0.9 to 0.4, Shi & Eberhart,
+IEEE ICEC 1998), C1 = C2 = 2.0, velocities clamped to a fraction of each
+dimension's range, and positions clipped to the bounds.
 A zero-width dimension (lower == upper) gets no velocity and stays at its
 value; an empty box (no dimension) is scored as one point for the whole
 schedule.
@@ -20,9 +22,10 @@ positions as an (S, D) array and returns S values, NaN counting as worst.
 It must be pure row by row, the value of a row depending on that row only.
 Every particle owns a counter-based random stream spawned from the master
 seed and draws r1, then r2, from it, DRAW_BLOCK iterations per call, so a
-seed reproduces its run bit for bit in one environment. Personal and global bests only move on strict
-improvement, and the global reduction takes the lowest particle index
-among equal values, which keeps ties deterministic.
+seed reproduces its run bit for bit in one environment. Personal and
+global bests only move on strict improvement, and the global reduction
+takes the lowest particle index among equal values, which keeps ties
+deterministic.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ logger = logging.getLogger(__name__)
 
 # A particle moves at most half its box's width per step in each dimension.
 V_MAX_FRACTION = 0.5
+# The update rule the dispatch search is tuned to: inertia from W_START at
+# the first update to W_END at the last, and equal cognitive and social pulls.
+W_START, W_END = 0.9, 0.4
+C1 = C2 = 2.0
 # Each particle draws the uniforms of this many iterations in one call; a
 # stream read in one call gives the values of the same reads made one by
 # one, and the block bounds the memory held at any iteration count.
@@ -57,32 +64,23 @@ Bounds = Sequence[tuple[float, float]]
 
 @dataclass(frozen=True)
 class PsoParams:
-    """Swarm configuration. Defaults suit low-dimensional dispatch boxes; the
-    inertia contracts from 0.9 to 0.4 (Shi & Eberhart, IEEE ICEC 1998)."""
+    """Swarm size, iteration count and seed; the update rule itself is
+    fixed by the module constants. Defaults suit low-dimensional dispatch
+    boxes."""
 
     swarm_size: int = 30
     max_iterations: int = 300
-    w_start: float = 0.9
-    w_end: float = 0.4
-    c1: float = 2.0
-    c2: float = 2.0
     seed: int = 1
 
     def __post_init__(self):
         for name in ("swarm_size", "max_iterations", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.swarm_size < 1:
             raise ValueError(f"swarm_size must be >= 1, got {self.swarm_size}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        for name in ("w_start", "w_end"):
-            w = getattr(self, name)
-            if not 0.0 <= w <= 2.0:
-                raise ValueError(f"{name} must be in [0, 2], got {w}")
-        if not (0.0 <= self.c1 < math.inf and 0.0 <= self.c2 < math.inf):
-            raise ValueError("acceleration coefficients must be finite and nonnegative")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -127,11 +125,11 @@ def _evaluate(fitness: SwarmFitness, positions: np.ndarray) -> np.ndarray:
 
 
 def inertia_weight(params: PsoParams, iteration: int) -> float:
-    """Linear schedule from w_start (first update) to w_end (last update)."""
+    """Linear schedule from W_START (first update) to W_END (last update)."""
     if params.max_iterations == 1:
-        return params.w_start
+        return W_START
     frac = iteration / (params.max_iterations - 1)
-    return params.w_start + (params.w_end - params.w_start) * frac
+    return W_START + (W_END - W_START) * frac
 
 
 def update_velocity(
@@ -140,7 +138,6 @@ def update_velocity(
     pbest_position: np.ndarray,
     gbest_position: np.ndarray,
     w: float,
-    params: PsoParams,
     rand1: float | np.ndarray,
     rand2: float | np.ndarray,
 ) -> np.ndarray:
@@ -148,8 +145,8 @@ def update_velocity(
     the swarm (S, D); no clamping here."""
     return (
         w * velocity
-        + params.c1 * rand1 * (pbest_position - position)
-        + params.c2 * rand2 * (gbest_position - position)
+        + C1 * rand1 * (pbest_position - position)
+        + C2 * rand2 * (gbest_position - position)
     )
 
 
@@ -184,7 +181,7 @@ def optimize(fitness: SwarmFitness, bounds: Bounds, params: PsoParams) -> PsoRes
                 draws = _draw_block(rngs, dim, min(DRAW_BLOCK, params.max_iterations - iteration))
             rand1, rand2 = draws[row, :, :dim], draws[row, :, dim:]
             velocity = update_velocity(
-                velocity, position, pbest_position, gbest_position, w, params, rand1, rand2
+                velocity, position, pbest_position, gbest_position, w, rand1, rand2
             )
             velocity = np.clip(velocity, -v_max, v_max)
             position = np.clip(position + velocity, lower, upper)

@@ -7,10 +7,12 @@ must be byte-identical across reruns except for the timestamp field.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -24,10 +26,6 @@ SEARCH_DEFAULTS = {
     "seed": 1,
     "swarm_size": 30,
     "iterations": 300,
-    "w_start": 0.9,
-    "w_end": 0.4,
-    "c1": 2.0,
-    "c2": 2.0,
     "voltage_weight": 10000.0,
 }
 
@@ -183,6 +181,17 @@ def test_unknown_command_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--w-start", "--w-end", "--c1", "--c2"])
+def test_swarm_update_rule_is_not_a_flag(fixture_path, capsys, flag):
+    # the inertia schedule and the acceleration coefficients are constants
+    # of ropf.pso, so their old flags are unknown options
+    for command in ("ropf", "pricing"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(fixture_path), flag, "0.5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_powerflow_text_output(fixture_path, capsys):
     assert main(["powerflow", str(fixture_path)]) == 0
     out = capsys.readouterr().out
@@ -241,7 +250,6 @@ def test_search_flags_are_echoed_in_config(tmp_path, capsys):
     path = write_case(tmp_path, compensated_case())
     argv = [
         "ropf", path, "--seed", "9", "--swarm-size", "7", "--iterations", "6",
-        "--w-start", "1.1", "--w-end", "0.5", "--c1", "1.8", "--c2", "2.2",
         "--voltage-weight", "5000", "--output-format", "machine-readable",
     ]
     code = main(argv)
@@ -251,14 +259,12 @@ def test_search_flags_are_echoed_in_config(tmp_path, capsys):
     assert config["seed"] == 9
     assert config["swarm_size"] == 7
     assert config["iterations"] == 6
-    assert config["w_start"] == 1.1
-    assert config["c2"] == 2.2
     assert config["voltage_weight"] == 5000.0
 
 
 @pytest.mark.parametrize("command", ["validate", "powerflow"])
 def test_config_echo_carries_search_defaults(command, fixture_path, capsys):
-    # Commands without search flags still echo all eleven settings, the
+    # Commands without search flags still echo all seven settings, the
     # search ones at their defaults; dumping again keeps ints and floats
     # apart, so the echo is pinned as printed.
     argv = [command, str(fixture_path), "--output-format", "machine-readable"]
@@ -317,8 +323,6 @@ def test_non_finite_case_data_is_rejected(fixture_case, tmp_path, capsys, sectio
         ("--voltage-weight", "-1"),
         ("--voltage-weight", "inf"),
         ("--voltage-weight", "nan"),
-        ("--c1", "nan"),
-        ("--c2", "inf"),
         ("--seed", "-1"),
     ],
 )
@@ -334,6 +338,21 @@ def test_parser_defaults_match_documented_interface():
     assert args.seed == 1
     assert args.swarm_size == 30
     assert args.iterations == 300
-    assert args.w_start == 0.9
-    assert args.w_end == 0.4
+    assert args.voltage_weight == 1e4
     assert args.output_format == "text"
+
+
+def _options(parser):
+    return {o for action in parser._actions for o in action.option_strings}
+
+
+def test_documented_search_flags_match_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sentence = readme.split("Search parameters are flags:", 1)[1].split(".", 1)[0]
+    documented = set(re.findall(r"`(--[a-z-]+)`", sentence))
+    assert len(documented) == 4
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    common = _options(commands.choices["validate"])
+    for command in ("ropf", "pricing"):
+        assert _options(commands.choices[command]) - common == documented, command

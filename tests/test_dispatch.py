@@ -49,7 +49,7 @@ from ropf.dispatch import (
     voltage_penalty,
 )
 
-SMALL = PsoParams(swarm_size=12, max_iterations=40, w_start=0.9, w_end=0.4, seed=3)
+SMALL = PsoParams(swarm_size=12, max_iterations=40, seed=3)
 
 
 def mk_report(kinds, buses, costs, **overrides):
