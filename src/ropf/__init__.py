@@ -9,7 +9,6 @@ from .costmodel import (
 from .dispatch import (
     DecisionVector,
     Payments,
-    PenaltyConfig,
     RopfReport,
     allocate_payments,
     baseline_loss,

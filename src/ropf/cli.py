@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .dispatch import (
     DispatchError,
-    PenaltyConfig,
     baseline_loss,
     render_text,
     report_to_dict,
@@ -42,16 +41,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reactive power dispatch and pricing over an AC power flow.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # The search settings and their defaults, from the dataclasses that own
+    # The search settings and their defaults, from the dataclass that owns
     # them. Every command echoes them in its report's config, also the
     # commands that take no search flags.
-    pso, penalties = PsoParams(), PenaltyConfig()
-    search = {
-        "seed": pso.seed,
-        "swarm_size": pso.swarm_size,
-        "iterations": pso.max_iterations,
-        "voltage_weight": penalties.voltage_weight,
-    }
+    pso = PsoParams()
+    search = {"seed": pso.seed, "swarm_size": pso.swarm_size, "iterations": pso.max_iterations}
     parser.set_defaults(**search)
 
     def add_common(p: argparse.ArgumentParser) -> None:
@@ -77,9 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _search(args: argparse.Namespace) -> tuple[PsoParams, PenaltyConfig]:
-    params = PsoParams(swarm_size=args.swarm_size, max_iterations=args.iterations, seed=args.seed)
-    return params, PenaltyConfig(voltage_weight=args.voltage_weight)
+def _search(args: argparse.Namespace) -> PsoParams:
+    return PsoParams(swarm_size=args.swarm_size, max_iterations=args.iterations, seed=args.seed)
 
 
 def _load_case(path: str) -> NetworkCase:
@@ -137,14 +130,14 @@ def _cmd_powerflow(args: argparse.Namespace) -> int:
 
 def _cmd_ropf(args: argparse.Namespace) -> int:
     case = _load_case(args.case_path)
-    report = run_ropf(case, *_search(args))
+    report = run_ropf(case, _search(args))
     _emit(args, report_to_dict(report), render_text(report))
     return OK if report.feasible else EXIT_NO_CONVERGENCE
 
 
 def _cmd_pricing(args: argparse.Namespace) -> int:
     case = _load_case(args.case_path)
-    report, payments = run_pricing(case, *_search(args))
+    report, payments = run_pricing(case, _search(args))
     _emit(args, report_to_dict(report, payments), render_text(report, payments))
     return OK if report.feasible else EXIT_NO_CONVERGENCE
 

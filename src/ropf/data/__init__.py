@@ -7,11 +7,11 @@ from ..netmodel import NetworkCase, parse_case
 __all__ = ["case_text", "load_case"]
 
 
-def case_text(name: str = "ieee14") -> str:
-    """Raw text of a bundled case file."""
-    return resources.files(__package__).joinpath(f"{name}.case").read_text(encoding="utf-8")
+def case_text() -> str:
+    """Raw text of the bundled IEEE 14-bus case file."""
+    return resources.files(__package__).joinpath("ieee14.case").read_text(encoding="utf-8")
 
 
-def load_case(name: str = "ieee14") -> NetworkCase:
-    """Parse a bundled case file."""
-    return parse_case(case_text(name))
+def load_case() -> NetworkCase:
+    """Parse the bundled IEEE 14-bus case file."""
+    return parse_case(case_text())

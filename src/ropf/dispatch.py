@@ -18,7 +18,7 @@ scorer.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,6 +66,8 @@ logger = logging.getLogger(__name__)
 # Large enough to dominate any plausible feasible cost, so the swarm ranks
 # every converged point above every non-converged one.
 NONCONVERGENCE_PENALTY = 1e6
+# Weight of the band violation and the squared limit excess in the fitness.
+VOLTAGE_WEIGHT = 1e4
 # The swarm's box for every generator voltage setpoint, p.u. It is wider
 # than the bundled case's 0.95-1.05 band on purpose: the band is
 # penalized, not boxed, and at the penalty optimum bus 1 sits at 1.0521.
@@ -102,20 +104,9 @@ class DecisionVector:
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Exterior penalty shaping for the fitness function.
+    """Read-only record of the shipped VOLTAGE_WEIGHT, for callers that read it here."""
 
-    voltage_weight scales the quadratic band-violation terms and the squared
-    excess of reactive outputs over their limits; it must be finite and
-    nonnegative. A non-converged flow adds NONCONVERGENCE_PENALTY.
-    """
-
-    voltage_weight: float = 1e4
-
-    def __post_init__(self):
-        if not 0.0 <= self.voltage_weight < np.inf:
-            raise ValueError(
-                f"voltage_weight must be finite and nonnegative, got {self.voltage_weight}"
-            )
+    voltage_weight: float = field(default=VOLTAGE_WEIGHT, init=False)
 
 
 @dataclass(frozen=True)
@@ -252,7 +243,8 @@ class DispatchProblem:
     gen_buses and comp_buses map the generators and compensators to their
     buses (-1: left to the slack balance), and sharing counts the
     generators at each generator's bus. q_min and q_max are the source
-    limits and bounds the swarm's box, both in source order. Build it with
+    limits and bounds the swarm's box, both in source order. The penalty
+    weights are module constants, not part of a problem. Build it with
     compile_problem.
     """
 
@@ -271,7 +263,6 @@ class DispatchProblem:
     bounds: list[tuple[float, float]]
     v_min: np.ndarray
     v_max: np.ndarray
-    penalties: PenaltyConfig
 
 
 def _sensitivity(reference: PowerFlowSolution, ybus: AdmittanceMatrix, pv: np.ndarray, pq: np.ndarray) -> np.ndarray:
@@ -286,7 +277,7 @@ def _sensitivity(reference: PowerFlowSolution, ybus: AdmittanceMatrix, pv: np.nd
     return np.linalg.solve(jac[:m, :m], inputs)
 
 
-def compile_problem(case: NetworkCase, penalties: PenaltyConfig | None = None) -> DispatchProblem:
+def compile_problem(case: NetworkCase) -> DispatchProblem:
     """Everything the fitness needs from a case, as arrays built once, and
     the reference flow (`baseline_loss`'s, solved from flat) with its
     sensitivities when it converges."""
@@ -315,7 +306,6 @@ def compile_problem(case: NetworkCase, penalties: PenaltyConfig | None = None) -
         bounds=[VOLTAGE_SETPOINT_BOX] * n_gen + limits[n_gen:],
         v_min=np.array([b.v_min for b in case.buses]),
         v_max=np.array([b.v_max for b in case.buses]),
-        penalties=penalties or PenaltyConfig(),
     )
 
 
@@ -324,13 +314,13 @@ def _score(
 ) -> np.ndarray:
     """Penalized objective of source outputs (S, D) and the bus voltages
     (S, n) of their flows: the cost of the outputs clipped to their limits,
-    plus voltage_weight times (band violation + squared excess over the
+    plus VOLTAGE_WEIGHT times (band violation + squared excess over the
     limits), plus NONCONVERGENCE_PENALTY where the flow did not converge."""
     held = np.clip(outputs, problem.q_min, problem.q_max)
     excess = outputs - held
     cost = sum(total_reactive_cost(problem.case, held.T), 0.0)
     violation = _band_violation(v, problem.v_min, problem.v_max) + np.sum(excess * excess, axis=-1)
-    value = cost + problem.penalties.voltage_weight * violation
+    value = cost + VOLTAGE_WEIGHT * violation
     value[~converged] += NONCONVERGENCE_PENALTY
     return value
 
@@ -386,15 +376,11 @@ def swarm_fitness(problem: DispatchProblem, positions: np.ndarray) -> np.ndarray
     return _score(problem, outputs, flows.v, flows.converged)
 
 
-def evaluate_fitness(
-    case: NetworkCase,
-    decision: DecisionVector,
-    penalties: PenaltyConfig | None = None,
-) -> float:
+def evaluate_fitness(case: NetworkCase, decision: DecisionVector) -> float:
     """Penalized objective of a decision vector, scored as swarm_fitness
     scores a row, on the flow that injects the decision's reactive outputs
     (every generator bus PQ)."""
-    problem = compile_problem(case, penalties)
+    problem = compile_problem(case)
     flow = solve_power_flow(case, build_injections(case, decision), problem.ybus)
     return float(_score(problem, decision.as_array()[None, :], flow.v, np.array([flow.converged]))[0])
 
@@ -422,11 +408,7 @@ def baseline_loss(
     return solution, _reference_loss(solution, case, ybus)
 
 
-def run_ropf(
-    case: NetworkCase,
-    params: PsoParams | None = None,
-    penalties: PenaltyConfig | None = None,
-) -> RopfReport:
+def run_ropf(case: NetworkCase, params: PsoParams | None = None) -> RopfReport:
     """Minimize the total reactive support cost subject to the power flow.
 
     The swarm searches generator voltage setpoints and compensator outputs
@@ -436,7 +418,7 @@ def run_ropf(
     compiled reference flow; DispatchError if that flow did not converge.
     """
     params = params or PsoParams()
-    problem = compile_problem(case, penalties)
+    problem = compile_problem(case)
     ybus = problem.ybus
     loss_before = _reference_loss(problem.reference, case, ybus)
 
@@ -450,7 +432,7 @@ def run_ropf(
 
     solution = solve_power_flow(case, build_injections(case, decision), ybus)
     q = decision.q_generators + decision.q_compensators
-    costs = total_reactive_cost(case, q)
+    costs = tuple(float(c) for c in total_reactive_cost(case, q))
     residual_penalty = voltage_penalty(solution, case)
     feasible = solution.converged and residual_penalty == 0.0
     if not feasible:
@@ -539,18 +521,15 @@ def allocate_payments(report: RopfReport, duty: RopfReport) -> Payments:
     )
 
 
-def run_pricing(
-    case: NetworkCase,
-    params: PsoParams | None = None,
-    penalties: PenaltyConfig | None = None,
-) -> tuple[RopfReport, Payments]:
+def run_pricing(case: NetworkCase, params: PsoParams | None = None) -> tuple[RopfReport, Payments]:
     """Full settlement: dispatch run, unity-power-factor run, allocation.
 
     The duty cost is the optimal total cost when all loads run at unity
     power factor: the reactive cost the network itself demands, owed by
-    the active-power sellers, not by the reactive loads."""
-    report = run_ropf(case, params, penalties)
-    duty_report = run_ropf(unity_power_factor_case(case), params, penalties)
+    the active-power sellers, not by the reactive loads. Both runs take
+    params and score with the same fixed VOLTAGE_WEIGHT."""
+    report = run_ropf(case, params)
+    duty_report = run_ropf(unity_power_factor_case(case), params)
     return report, allocate_payments(report, duty_report)
 
 

@@ -22,12 +22,7 @@ from ropf.netmodel import CaseError, parse_case, serialize_case, validate_case
 
 FAST = ["--swarm-size", "8", "--iterations", "10", "--seed", "3"]
 
-SEARCH_DEFAULTS = {
-    "seed": 1,
-    "swarm_size": 30,
-    "iterations": 300,
-    "voltage_weight": 10000.0,
-}
+SEARCH_DEFAULTS = {"seed": 1, "swarm_size": 30, "iterations": 300}
 
 
 def write_case(tmp_path, case, name="net.case"):
@@ -181,10 +176,11 @@ def test_unknown_command_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag", ["--w-start", "--w-end", "--c1", "--c2"])
+@pytest.mark.parametrize("flag", ["--w-start", "--w-end", "--c1", "--c2", "--voltage-weight"])
 def test_swarm_update_rule_is_not_a_flag(fixture_path, capsys, flag):
     # the inertia schedule and the acceleration coefficients are constants
-    # of ropf.pso, so their old flags are unknown options
+    # of ropf.pso, and the voltage weight is ropf.dispatch.VOLTAGE_WEIGHT,
+    # so their old flags are unknown options
     for command in ("ropf", "pricing"):
         with pytest.raises(SystemExit) as exc:
             main([command, str(fixture_path), flag, "0.5"])
@@ -250,7 +246,7 @@ def test_search_flags_are_echoed_in_config(tmp_path, capsys):
     path = write_case(tmp_path, compensated_case())
     argv = [
         "ropf", path, "--seed", "9", "--swarm-size", "7", "--iterations", "6",
-        "--voltage-weight", "5000", "--output-format", "machine-readable",
+        "--output-format", "machine-readable",
     ]
     code = main(argv)
     assert code in (0, 3)
@@ -259,12 +255,11 @@ def test_search_flags_are_echoed_in_config(tmp_path, capsys):
     assert config["seed"] == 9
     assert config["swarm_size"] == 7
     assert config["iterations"] == 6
-    assert config["voltage_weight"] == 5000.0
 
 
 @pytest.mark.parametrize("command", ["validate", "powerflow"])
 def test_config_echo_carries_search_defaults(command, fixture_path, capsys):
-    # Commands without search flags still echo all seven settings, the
+    # Commands without search flags still echo all six settings, the
     # search ones at their defaults; dumping again keeps ints and floats
     # apart, so the echo is pinned as printed.
     argv = [command, str(fixture_path), "--output-format", "machine-readable"]
@@ -320,15 +315,15 @@ def test_non_finite_case_data_is_rejected(fixture_case, tmp_path, capsys, sectio
 @pytest.mark.parametrize(
     "flag, value",
     [
-        ("--voltage-weight", "-1"),
-        ("--voltage-weight", "inf"),
-        ("--voltage-weight", "nan"),
         ("--seed", "-1"),
+        ("--swarm-size", "0"),
+        ("--iterations", "0"),
     ],
 )
 def test_search_settings_that_break_the_fitness_are_rejected(fixture_path, capsys, flag, value):
     for command in ("ropf", "pricing"):
-        assert main([command, str(fixture_path), flag, value, "--swarm-size", "4", "--iterations", "3"]) == 2
+        # the flag under test comes last, so it overrides the small budget
+        assert main([command, str(fixture_path), "--swarm-size", "4", "--iterations", "3", flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
 
@@ -338,7 +333,7 @@ def test_parser_defaults_match_documented_interface():
     assert args.seed == 1
     assert args.swarm_size == 30
     assert args.iterations == 300
-    assert args.voltage_weight == 1e4
+    assert not hasattr(args, "voltage_weight")
     assert args.output_format == "text"
 
 
@@ -350,7 +345,7 @@ def test_documented_search_flags_match_the_parser():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     sentence = readme.split("Search parameters are flags:", 1)[1].split(".", 1)[0]
     documented = set(re.findall(r"`(--[a-z-]+)`", sentence))
-    assert len(documented) == 4
+    assert len(documented) == 3
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     common = _options(commands.choices["validate"])

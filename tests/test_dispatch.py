@@ -166,7 +166,7 @@ def test_fitness_adds_weighted_voltage_penalty():
     assert solution.converged
     raw = voltage_penalty(solution, case)
     assert raw > 0
-    fitness = evaluate_fitness(case, decision, PenaltyConfig(voltage_weight=1e4))
+    fitness = evaluate_fitness(case, decision)
     assert fitness == pytest.approx(1e4 * raw, rel=1e-9)
 
 
@@ -342,17 +342,11 @@ def test_benchmark_swarm_seeds_that_stuck_on_a_wall_reach_the_reference_loss(fix
     assert report.loss_after == pytest.approx(0.0532, rel=0.15)
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("voltage_weight", -1.0),
-        ("voltage_weight", np.inf),
-        ("voltage_weight", np.nan),
-    ],
-)
-def test_penalties_must_be_finite_and_nonnegative(field, value):
-    with pytest.raises(ValueError, match=field):
-        PenaltyConfig(**{field: value})
+def test_voltage_weight_is_a_constant():
+    # PenaltyConfig only records the shipped weight; it takes no settings
+    assert PenaltyConfig().voltage_weight == dispatch.VOLTAGE_WEIGHT == 1e4
+    with pytest.raises(TypeError):
+        PenaltyConfig(voltage_weight=5.0)
 
 
 def test_swarm_fitness_rejects_wrong_width(fixture_case):
@@ -400,6 +394,9 @@ def test_run_ropf_small_network_full_report():
     decision = DecisionVector(report.var_requirements[:1], report.var_requirements[1:])
     assert evaluate_fitness(case, decision) == pytest.approx(report.gbest_fitness, abs=1e-9)
     assert report.total_payment == pytest.approx(sum(report.cost_per_source), abs=1e-12)
+    payments = allocate_payments(report, run_ropf(unity_power_factor_case(case), params=SMALL))
+    settled = payments.generator_payments + payments.compensator_payments + payments.duty_shares
+    assert all(type(c) is float for c in report.cost_per_source + settled)
 
 
 def test_run_ropf_is_deterministic():
