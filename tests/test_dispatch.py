@@ -345,8 +345,23 @@ def test_benchmark_swarm_seeds_that_stuck_on_a_wall_reach_the_reference_loss(fix
 def test_voltage_weight_is_a_constant():
     # PenaltyConfig only records the shipped weight; it takes no settings
     assert PenaltyConfig().voltage_weight == dispatch.VOLTAGE_WEIGHT == 1e4
-    with pytest.raises(TypeError):
-        PenaltyConfig(voltage_weight=5.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("voltage_weight", -1.0),
+        ("voltage_weight", np.inf),
+        ("voltage_weight", np.nan),
+    ],
+)
+def test_penalties_must_be_finite_and_nonnegative(field, value):
+    # No weight can be set, so a negative or non-finite one never reaches the
+    # fitness; the one in effect is finite and nonnegative.
+    with pytest.raises(TypeError, match=field):
+        PenaltyConfig(**{field: value})
+    weight = getattr(PenaltyConfig(), field)
+    assert np.isfinite(weight) and weight >= 0
 
 
 def test_swarm_fitness_rejects_wrong_width(fixture_case):
