@@ -161,7 +161,3 @@ def main(argv: list[str] | None = None) -> int:
     except DispatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

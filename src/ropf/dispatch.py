@@ -169,18 +169,15 @@ def _add_source_outputs(q: np.ndarray, positions: np.ndarray, values: np.ndarray
             q[..., k] += value
 
 
-def build_injections(
-    case: NetworkCase,
-    decision: DecisionVector | None = None,
-    generators_pv: bool = False,
-) -> InjectionSpec:
-    """Injection specification for a dispatch state.
+def build_injections(case: NetworkCase, decision: DecisionVector | None = None) -> InjectionSpec:
+    """Injection specification of the reference flow, or of a dispatch.
 
     Loads draw power; non-slack generators add their scheduled active
-    output. With generators_pv the generator buses are voltage-held at
-    1.0 p.u. (reference flow); otherwise generators and compensators inject
-    the reactive outputs of the decision (zero when absent). Sources at the
-    slack bus are left to the slack balance.
+    output. Without a decision this is the reference flow: the generator
+    buses are voltage-held at 1.0 p.u. and every source outputs zero. With
+    one, every generator bus is PQ and the generators and compensators
+    inject the decision's reactive outputs. Sources at the slack bus are
+    left to the slack balance.
     """
     n = case.n
     p = np.zeros(n)
@@ -199,19 +196,15 @@ def build_injections(
     for gen in gens:
         k = case.index_of(gen.bus)
         p[k] += gen.p_output
-        if generators_pv:
+        if decision is None:
             roles[k] = int(BusRole.PV)
-            v_set[k] = 1.0
 
     if decision is not None:
         if len(decision.q_generators) != len(gens) or len(decision.q_compensators) != len(
             case.compensators
         ):
             raise ValueError("decision vector does not match the case sources")
-        positions = _source_positions(case)
-        if generators_pv:
-            positions[: len(gens)] = -1
-        _add_source_outputs(q, positions, decision.as_array())
+        _add_source_outputs(q, _source_positions(case), decision.as_array())
 
     return InjectionSpec(p=p, q=q, roles=roles, v_setpoint=v_set)
 
@@ -285,7 +278,7 @@ def compile_problem(case: NetworkCase) -> DispatchProblem:
     positions = _source_positions(case)
     n_gen = len(dispatchable_generators(case))
     ybus = build_admittance(case)
-    base = build_injections(case, None, generators_pv=True)
+    base = build_injections(case)
     pv = np.flatnonzero(base.roles == BusRole.PV)
     pq = np.flatnonzero(base.roles == BusRole.PQ)
     reference = solve_power_flow(case, base, ybus)
@@ -404,7 +397,7 @@ def baseline_loss(
     DispatchError if it does not converge."""
     if ybus is None:
         ybus = build_admittance(case)
-    solution = solve_power_flow(case, build_injections(case, None, generators_pv=True), ybus)
+    solution = solve_power_flow(case, build_injections(case), ybus)
     return solution, _reference_loss(solution, case, ybus)
 
 

@@ -14,11 +14,12 @@ so an optimizer can penalize it.
 
 One Newton loop (`solve_stack`) solves a stack of S injection sets that
 share a network, its admittance matrix and the bus roles, each member with
-its own injections, setpoints, convergence and failure mask;
-`solve_power_flow` is that loop run on a stack of one. Every member's
-arithmetic is the one a lone solve does (one matrix-vector product per
-member, elementwise Jacobian terms, one LAPACK solve per member), so a
-member's result does not depend on the rest of its stack.
+its own injections, setpoints, convergence and failure mask, from a flat
+or a supplied start; `solve_power_flow` is that loop run from flat on a
+stack of one. Every member's arithmetic is the one a lone solve does (one
+matrix-vector product per member, elementwise Jacobian terms, one LAPACK
+solve per member), so a member's result does not depend on the rest of
+its stack.
 """
 
 from __future__ import annotations
@@ -316,10 +317,9 @@ def solve_power_flow(
     case: NetworkCase,
     spec: InjectionSpec,
     ybus: AdmittanceMatrix | None = None,
-    start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PowerFlowSolution:
-    """Solve the AC power flow for one set of injections: `solve_stack` on
-    a stack of one, plus the injections and loss of the final state.
+    """Solve the AC power flow for one set of injections from a flat start:
+    `solve_stack` on a stack of one, plus the injections of the final state.
 
     Returns converged=False (with the last usable state) when the residual
     norm is still above TOLERANCE after MAX_ITERATIONS, or when a Newton
@@ -331,7 +331,7 @@ def solve_power_flow(
         raise ValueError("case, injection spec and admittance matrix sizes disagree")
     if spec.p.ndim != 1:
         raise ValueError("solve_power_flow takes one injection set; solve_stack takes a stack")
-    flows = solve_stack(spec, ybus, start)
+    flows = solve_stack(spec, ybus)
     v, delta = flows.v[0], flows.delta[0]
     s_calc = _injections(v * np.exp(1j * delta), ybus)
     slack = spec.slack_index

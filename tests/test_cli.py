@@ -8,7 +8,9 @@ must be byte-identical across reruns except for the timestamp field.
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
+import importlib
 import json
 import math
 import re
@@ -351,3 +353,27 @@ def test_documented_search_flags_match_the_parser():
     common = _options(commands.choices["validate"])
     for command in ("ropf", "pricing"):
         assert _options(commands.choices[command]) - common == documented, command
+
+
+def _resolves(dotted):
+    module, _, name = dotted.rpartition(".")
+    try:
+        importlib.import_module(dotted)
+    except ModuleNotFoundError:
+        return hasattr(importlib.import_module(module), name)
+    return True
+
+
+def test_readme_names_only_real_homes():
+    # The python blocks are parsed, not run: the first one runs a full
+    # settlement. Every name they import, and every `ropf.<module>.<name>`
+    # of the prose, must exist on the module it is named from.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    imported = set()
+    for block in re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom):
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert len(imported) == 5
+    named = set(re.findall(r"`(ropf(?:\.\w+)+)[`(]", readme))
+    assert [dotted for dotted in sorted(imported | named) if not _resolves(dotted)] == []

@@ -110,7 +110,7 @@ def test_decision_bounds_source_order(fixture_case):
 
 
 def test_build_injections_reference_flow(fixture_case):
-    spec = build_injections(fixture_case, generators_pv=True)
+    spec = build_injections(fixture_case)
     roles = spec.roles
     idx = fixture_case.index_of
     assert roles[idx(14)] == BusRole.SLACK

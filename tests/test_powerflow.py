@@ -198,10 +198,11 @@ def test_residual_certificate_at_solution():
 def test_warm_start_skips_iterations():
     case = two_bus_case(0.1, 0.01, 0.4, 0.05)
     spec = make_spec([-0.4, 0.0], [-0.05, 0.0], [PQ, SLACK])
-    first = solve_power_flow(case, spec)
-    again = solve_power_flow(case, spec, start=(first.v, first.delta))
-    assert again.converged
-    assert again.iterations == 0
+    ybus = build_admittance(case)
+    first = solve_power_flow(case, spec, ybus)
+    again = solve_stack(spec, ybus, start=(first.v, first.delta))
+    assert again.converged.tolist() == [True]
+    assert again.iterations.tolist() == [0]
 
 
 def test_infeasible_load_reports_nonconvergence():
@@ -244,17 +245,16 @@ def test_stack_member_failures_leave_the_others_bitwise():
     assert flows.iterations.tolist()[0::3] == [0, 0]
     assert np.array_equal(flows.v[0], start_v[0])
     for k, p_load in enumerate(loads):
-        alone = solve_power_flow(
-            case,
+        alone = solve_stack(
             make_spec([-p_load, 0.0], [0.0, 0.0], [PQ, SLACK]),
             ybus,
             start=(start_v[k], start_delta[k]),
         )
-        assert alone.converged == flows.converged[k]
-        assert alone.iterations == flows.iterations[k]
-        assert alone.max_mismatch == flows.max_mismatch[k]
-        assert np.array_equal(alone.v, flows.v[k])
-        assert np.array_equal(alone.delta, flows.delta[k])
+        assert alone.converged[0] == flows.converged[k]
+        assert alone.iterations[0] == flows.iterations[k]
+        assert alone.max_mismatch[0] == flows.max_mismatch[k]
+        assert np.array_equal(alone.v[0], flows.v[k])
+        assert np.array_equal(alone.delta[0], flows.delta[k])
 
 
 def box_specs(case, count, seed):
@@ -297,7 +297,7 @@ def test_stack_with_per_member_setpoints_equals_lone_solves(fixture_case):
     # The reference flow's roles with each member's own slack and generator
     # voltage setpoints and compensator outputs; every member of the stack
     # ends at the bits of its lone solve.
-    base = build_injections(fixture_case, None, generators_pv=True)
+    base = build_injections(fixture_case)
     held = np.flatnonzero(base.roles != PQ)
     comps = [fixture_case.index_of(c.bus) for c in fixture_case.compensators]
     rng = np.random.default_rng(41)
@@ -321,7 +321,7 @@ def test_stack_with_per_member_setpoints_equals_lone_solves(fixture_case):
 
 def test_total_losses_takes_the_ybus_at_hand(fixture_case):
     ybus = build_admittance(fixture_case)
-    spec = build_injections(fixture_case, None, generators_pv=True)
+    spec = build_injections(fixture_case)
     solution = solve_power_flow(fixture_case, spec, ybus)
     assert repr(total_losses(solution, fixture_case, ybus)) == repr(total_losses(solution, fixture_case))
 
@@ -417,10 +417,11 @@ def diagonal_matrix_jacobian(v, delta, ybus, pvpq, pq):
     )
 
 
-def random_states(case, generators_pv, size, seed):
-    """Bus index sets of the bundled dispatch (or reference) roles and a
+def random_states(case, with_pv, size, seed):
+    """Bus index sets of the bundled reference (or dispatch) roles and a
     seeded stack of interior voltage states."""
-    roles = build_injections(case, generators_pv=generators_pv).roles
+    decision = None if with_pv else DecisionVector.from_array(case, np.zeros(len(decision_bounds(case))))
+    roles = build_injections(case, decision).roles
     pv = np.flatnonzero(roles == PV)
     pq = np.flatnonzero(roles == PQ)
     rng = np.random.default_rng(seed)
@@ -430,10 +431,10 @@ def random_states(case, generators_pv, size, seed):
 
 
 @pytest.mark.parametrize("size", [1, 7, 30])
-@pytest.mark.parametrize("generators_pv", [False, True], ids=["pq-only", "with-pv"])
-def test_jacobian_matches_the_diagonal_matrix_form(fixture_case, generators_pv, size):
-    v, delta, pvpq, pq = random_states(fixture_case, generators_pv, size, seed=size)
-    assert (pvpq.size > pq.size) == generators_pv
+@pytest.mark.parametrize("with_pv", [False, True], ids=["pq-only", "with-pv"])
+def test_jacobian_matches_the_diagonal_matrix_form(fixture_case, with_pv, size):
+    v, delta, pvpq, pq = random_states(fixture_case, with_pv, size, seed=size)
+    assert (pvpq.size > pq.size) == with_pv
     ybus = build_admittance(fixture_case)
     jac = mismatch_jacobian(v, delta, ybus, pvpq, pq)
     ref = diagonal_matrix_jacobian(v, delta, ybus, pvpq, pq)
