@@ -17,8 +17,7 @@ scorer.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +43,6 @@ __all__ = [
     "DispatchError",
     "DispatchProblem",
     "Payments",
-    "PenaltyConfig",
     "RopfReport",
     "allocate_payments",
     "baseline_loss",
@@ -60,8 +58,6 @@ __all__ = [
     "unity_power_factor_case",
     "voltage_penalty",
 ]
-
-logger = logging.getLogger(__name__)
 
 # Large enough to dominate any plausible feasible cost, so the swarm ranks
 # every converged point above every non-converged one.
@@ -103,13 +99,6 @@ class DecisionVector:
 
 
 @dataclass(frozen=True)
-class PenaltyConfig:
-    """Read-only record of the shipped VOLTAGE_WEIGHT, for callers that read it here."""
-
-    voltage_weight: float = field(default=VOLTAGE_WEIGHT, init=False)
-
-
-@dataclass(frozen=True)
 class Payments:
     """Settled $/h amounts. duty_cost is the unity-power-factor run's total
     payment; duty_shares are its parts charged back to each generator
@@ -134,7 +123,6 @@ class RopfReport:
     total_payment: float
     loss_before: float
     loss_after: float
-    loss_before_alt: float | None
     feasible: bool
     converged: bool
     gbest_fitness: float
@@ -409,6 +397,7 @@ def run_ropf(case: NetworkCase, params: PsoParams | None = None) -> RopfReport:
     position's flow, clipped to their limits, and the report's flow is the
     flat-start flow that injects them. loss_before is the loss of the
     compiled reference flow; DispatchError if that flow did not converge.
+    The run writes nothing: every fact it finds is in the report.
     """
     params = params or PsoParams()
     problem = compile_problem(case)
@@ -426,26 +415,6 @@ def run_ropf(case: NetworkCase, params: PsoParams | None = None) -> RopfReport:
     solution = solve_power_flow(case, build_injections(case, decision), ybus)
     q = decision.q_generators + decision.q_compensators
     costs = tuple(float(c) for c in total_reactive_cost(case, q))
-    residual_penalty = voltage_penalty(solution, case)
-    feasible = solution.converged and residual_penalty == 0.0
-    if not feasible:
-        logger.warning(
-            "best decision is infeasible: converged=%s voltage penalty=%.3e fitness=%.6g",
-            solution.converged,
-            residual_penalty,
-            result.fitness,
-        )
-
-    loss_before_alt: float | None = None
-    if gens:
-        alt_decision = DecisionVector(
-            q_generators=decision.q_generators,
-            q_compensators=(0.0,) * len(case.compensators),
-        )
-        alt = solve_power_flow(case, build_injections(case, alt_decision), ybus)
-        if alt.converged:
-            loss_before_alt = total_losses(alt, case, ybus)
-
     return RopfReport(
         source_kinds=kinds,
         source_buses=buses,
@@ -454,8 +423,7 @@ def run_ropf(case: NetworkCase, params: PsoParams | None = None) -> RopfReport:
         total_payment=float(sum(costs)),
         loss_before=loss_before,
         loss_after=total_losses(solution, case, ybus),
-        loss_before_alt=loss_before_alt,
-        feasible=feasible,
+        feasible=solution.converged and voltage_penalty(solution, case) == 0.0,
         converged=solution.converged,
         gbest_fitness=result.fitness,
         convergence_history=result.history,
@@ -545,7 +513,6 @@ def report_to_dict(report: RopfReport, payments: Payments | None = None) -> dict
         ],
         "loss_before_pu": report.loss_before,
         "loss_after_pu": report.loss_after,
-        "loss_before_alt_pu": report.loss_before_alt,
         "total_payment_per_h": report.total_payment,
         "feasible": report.feasible,
         "converged": report.converged,
@@ -563,7 +530,6 @@ def report_to_dict(report: RopfReport, payments: Payments | None = None) -> dict
             "generators": list(payments.generator_payments),
             "compensators": list(payments.compensator_payments),
             "duty_shares": list(payments.duty_shares),
-            "load_allocated_per_h": payments.load_allocated,
             "total_per_h": payments.total,
         }
     return doc
@@ -585,13 +551,6 @@ def render_text(report: RopfReport, payments: Payments | None = None) -> str:
         out.append(f"{kind:<14}{bus:>5}{q:>12.4f}{cost:>14.4f}")
     out.append("")
     out.append(f"power loss before compensation  {report.loss_before:.6f} p.u.")
-    if report.loss_before_alt is not None and report.loss_before > 0 and (
-        abs(report.loss_before_alt - report.loss_before) > 0.01 * report.loss_before
-    ):
-        out.append(
-            f"power loss before compensation  {report.loss_before_alt:.6f} p.u. "
-            "(generators already at their optimized reactive output)"
-        )
     out.append(f"power loss after compensation   {report.loss_after:.6f} p.u.")
     out.append(f"payment to generators and compensators  {report.total_payment:.4f} $/h")
     out.append(f"feasible: {'yes' if report.feasible else 'NO'}")

@@ -20,6 +20,8 @@ when the iteration began.
 The fitness function scores the whole swarm at once: it takes the
 positions as an (S, D) array and returns S values, NaN counting as worst.
 It must be pure row by row, the value of a row depending on that row only.
+The optimizer writes nothing: a run in which no particle ever scores a
+finite value returns an infinite fitness.
 Every particle owns a counter-based random stream spawned from the master
 seed and draws r1, then r2, from it, DRAW_BLOCK iterations per call, so a
 seed reproduces its run bit for bit in one environment. Personal and
@@ -30,7 +32,6 @@ deterministic.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -44,8 +45,6 @@ __all__ = [
     "optimize",
     "update_velocity",
 ]
-
-logger = logging.getLogger(__name__)
 
 # A particle moves at most half its box's width per step in each dimension.
 V_MAX_FRACTION = 0.5
@@ -159,7 +158,8 @@ def optimize(fitness: SwarmFitness, bounds: Bounds, params: PsoParams) -> PsoRes
     all; the swarm then holds those values, and an empty box is one point
     scored every iteration. If every initial fitness is non-finite the
     swarm still starts (penalty-shaped objectives often look like that
-    early on); it is logged, not fatal.
+    early on); the result's fitness stays inf until a particle scores a
+    finite value, and the history shows when one did.
     """
     lower, upper = _check_bounds(bounds)
     v_max = V_MAX_FRACTION * (upper - lower)
@@ -193,7 +193,5 @@ def optimize(fitness: SwarmFitness, bounds: Bounds, params: PsoParams) -> PsoRes
         if pbest_fitness[best] < gbest_fitness:
             gbest_fitness = float(pbest_fitness[best])
             gbest_position = pbest_position[best].copy()
-        elif iteration < 0:
-            logger.warning("all %d initial fitness values are non-finite", params.swarm_size)
         history.append(gbest_fitness)
     return PsoResult(position=gbest_position, fitness=gbest_fitness, history=tuple(history))

@@ -8,8 +8,8 @@ One test per criterion, each a single pass/fail line under pytest -v:
     with the dual-route loss identity within 1e-8 on every converged solve
  4. analytic Jacobian vs central finite differences (rel. 1e-5, 20 cases)
  5. bundled-case baseline loss vs the published 0.100682 p.u. (±15%), with
-    the documented out-of-band escape: both baseline interpretations are
-    reported and the property checks must all hold
+    the documented out-of-band escape: the baseline is reported and the
+    property checks must all hold
  6. ten consecutive seeds: loss falls, the feasibility flag agrees with the
     band violation recomputed from the reported voltages, no seed beats the
     network's violation floor, and at least 9/10 seeds land within 25% of
@@ -45,8 +45,8 @@ from ropf.costmodel import (
     generator_opportunity_cost,
 )
 from ropf.dispatch import (
+    VOLTAGE_WEIGHT,
     DecisionVector,
-    PenaltyConfig,
     baseline_loss,
     build_injections,
     evaluate_fitness,
@@ -74,8 +74,8 @@ PUBLISHED = {
 #       popsize=20, maxiter=300, tol=1e-12, polish=True), s = 1 and 2
 # (scipy 1.17.1, numpy 2.4.6, Python 3.11.7). For VIOLATION_FLOOR, f is
 # voltage_penalty of the flow at x, plus 1e6 where the flow does not
-# converge; for PENALTY_OPTIMUM, f is evaluate_fitness at the default
-# PenaltyConfig. Both seeds agree on both minima to 1e-12. The minimizers
+# converge; for PENALTY_OPTIMUM, f is evaluate_fitness at the shipped
+# VOLTAGE_WEIGHT. Both seeds agree on both minima to 1e-12. The minimizers
 # below are rounded; test_optimization_improvement_and_feasibility
 # re-evaluates them through the program, so a solver or cost-model change
 # that moves these values fails there first.
@@ -142,16 +142,8 @@ def test_baseline_loss_regression(fixture_case, ten_seed_runs):
     solution, loss = baseline_loss(fixture_case)
     target = PUBLISHED["loss_before"]
     in_band = abs(loss - target) <= 0.15 * target
-    # second documented interpretation: optimized generator outputs with
-    # the compensators switched off (taken from the seed-1 run)
-    alt = ten_seed_runs[0].loss_before_alt
-    alt_in_band = alt is not None and abs(alt - target) <= 0.15 * target
-    print(
-        f"[ACCEPTANCE] baseline loss {loss:.6f} p.u. "
-        f"({(loss - target) / target:+.1%} vs {target}); "
-        f"alternative interpretation: {alt if alt is not None else 'no converged flow'}"
-    )
-    if not (in_band or alt_in_band):
+    print(f"[ACCEPTANCE] baseline loss {loss:.6f} p.u. ({(loss - target) / target:+.1%} vs {target})")
+    if not in_band:
         # out-of-band escape: every baseline property must hold and the
         # deviation is part of the shipped report (loss_before field)
         assert solution.converged
@@ -186,7 +178,7 @@ def test_optimization_improvement_and_feasibility(fixture_case, ten_seed_runs):
     optimum = evaluate_fitness(fixture_case, DecisionVector.from_array(fixture_case, PENALTY_MINIMIZER))
     assert optimum == pytest.approx(PENALTY_OPTIMUM, rel=1e-4)
 
-    weight = PenaltyConfig().voltage_weight
+    weight = VOLTAGE_WEIGHT
     objectives = []
     outside = []
     for report in ten_seed_runs:

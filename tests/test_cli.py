@@ -13,11 +13,15 @@ import dataclasses
 import importlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ropf
 from conftest import compensated_case, two_bus_case
 from ropf.cli import build_parser, main
 from ropf.netmodel import CaseError, parse_case, serialize_case, validate_case
@@ -234,6 +238,23 @@ def test_ropf_fixture_flags_infeasible_run(fixture_path, capsys):
     assert doc["loss_after_pu"] > 0
 
 
+def test_infeasible_pricing_run_writes_nothing_to_stderr(fixture_path):
+    # A subprocess, so no test plugin can take what the run writes: the
+    # report on stdout and the exit code carry every fact of the run. The
+    # child imports the same ropf as this test.
+    path = os.pathsep.join([str(Path(ropf.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "ropf", "pricing", str(fixture_path), "--swarm-size", "4", "--iterations", "3"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 3
+    assert "feasible: NO" in proc.stdout
+    assert proc.stderr == ""
+
+
 def test_pricing_emits_settlement(tmp_path, capsys):
     path = write_case(tmp_path, compensated_case())
     assert main(["pricing", path, *FAST, "--output-format", "machine-readable"]) == 0
@@ -242,6 +263,9 @@ def test_pricing_emits_settlement(tmp_path, capsys):
     assert doc["duty_cost_per_h"] >= 0.0
     total = sum(doc["payments"]["generators"]) + sum(doc["payments"]["compensators"])
     assert doc["payments"]["total_per_h"] == pytest.approx(total, abs=1e-9)
+    # the load charge is reported once, at the top level
+    assert doc["load_allocated_per_h"] == max(0.0, doc["total_payment_per_h"] - doc["duty_cost_per_h"])
+    assert "load_allocated_per_h" not in doc["payments"]
 
 
 def test_search_flags_are_echoed_in_config(tmp_path, capsys):

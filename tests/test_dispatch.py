@@ -32,7 +32,6 @@ from ropf.pso import PsoParams
 from ropf.dispatch import (
     DecisionVector,
     DispatchError,
-    PenaltyConfig,
     RopfReport,
     allocate_payments,
     baseline_loss,
@@ -61,7 +60,6 @@ def mk_report(kinds, buses, costs, **overrides):
         total_payment=float(sum(costs)),
         loss_before=0.1,
         loss_after=0.08,
-        loss_before_alt=None,
         feasible=True,
         converged=True,
         gbest_fitness=float(sum(costs)),
@@ -343,8 +341,7 @@ def test_benchmark_swarm_seeds_that_stuck_on_a_wall_reach_the_reference_loss(fix
 
 
 def test_voltage_weight_is_a_constant():
-    # PenaltyConfig only records the shipped weight; it takes no settings
-    assert PenaltyConfig().voltage_weight == dispatch.VOLTAGE_WEIGHT == 1e4
+    assert dispatch.VOLTAGE_WEIGHT == 1e4
 
 
 @pytest.mark.parametrize(
@@ -355,13 +352,12 @@ def test_voltage_weight_is_a_constant():
         ("voltage_weight", np.nan),
     ],
 )
-def test_penalties_must_be_finite_and_nonnegative(field, value):
-    # No weight can be set, so a negative or non-finite one never reaches the
-    # fitness; the one in effect is finite and nonnegative.
+def test_penalties_must_be_finite_and_nonnegative(fixture_case, field, value):
+    # No weight can be passed, so a negative or non-finite one never reaches
+    # the fitness; the one in effect is finite and nonnegative.
     with pytest.raises(TypeError, match=field):
-        PenaltyConfig(**{field: value})
-    weight = getattr(PenaltyConfig(), field)
-    assert np.isfinite(weight) and weight >= 0
+        compile_problem(fixture_case, **{field: value})
+    assert np.isfinite(dispatch.VOLTAGE_WEIGHT) and dispatch.VOLTAGE_WEIGHT >= 0
 
 
 def test_swarm_fitness_rejects_wrong_width(fixture_case):
