@@ -12,7 +12,8 @@ flow and its sensitivities, and scores the whole swarm through one
 stacked power flow (`swarm_fitness`: (S, D) to S values) that starts each
 row at the reference flow's linear prediction for it. `evaluate_fitness`
 scores a decision vector on its own flat-start flow through the same
-scorer.
+scorer. A case whose reference flow does not converge is refused
+(`DispatchError`, from `baseline_loss`) before anything is scored.
 """
 
 from __future__ import annotations
@@ -217,10 +218,10 @@ class DispatchProblem:
 
     base holds the injections with the generator buses voltage-held and
     every source at zero output (loads and scheduled active generation);
-    reference is base's flow from a flat start, converged or not, and
-    sensitivity its linear change of the unknowns per unit change of the
-    pv setpoints and pq reactive injections (None when reference did not
-    converge). pv and pq are the positions of base's PV and PQ buses;
+    reference is base's converged flow from a flat start, loss_before its
+    cross-checked loss, and sensitivity its linear change of the unknowns
+    per unit change of the pv setpoints and pq reactive injections. pv and
+    pq are the positions of base's PV and PQ buses;
     gen_buses and comp_buses map the generators and compensators to their
     buses (-1: left to the slack balance), and sharing counts the
     generators at each generator's bus. q_min and q_max are the source
@@ -233,7 +234,8 @@ class DispatchProblem:
     ybus: AdmittanceMatrix
     base: InjectionSpec
     reference: PowerFlowSolution
-    sensitivity: np.ndarray | None
+    loss_before: float
+    sensitivity: np.ndarray
     pv: np.ndarray
     pq: np.ndarray
     gen_buses: np.ndarray
@@ -260,8 +262,8 @@ def _sensitivity(reference: PowerFlowSolution, ybus: AdmittanceMatrix, pv: np.nd
 
 def compile_problem(case: NetworkCase) -> DispatchProblem:
     """Everything the fitness needs from a case, as arrays built once, and
-    the reference flow (`baseline_loss`'s, solved from flat) with its
-    sensitivities when it converges."""
+    the reference flow with its loss and sensitivities (`baseline_loss`'s:
+    DispatchError if it does not converge)."""
     limits = decision_bounds(case)
     positions = _source_positions(case)
     n_gen = len(dispatchable_generators(case))
@@ -269,14 +271,15 @@ def compile_problem(case: NetworkCase) -> DispatchProblem:
     base = build_injections(case)
     pv = np.flatnonzero(base.roles == BusRole.PV)
     pq = np.flatnonzero(base.roles == BusRole.PQ)
-    reference = solve_power_flow(case, base, ybus)
+    reference, loss_before = baseline_loss(case, ybus)
     gen = positions[:n_gen]
     return DispatchProblem(
         case=case,
         ybus=ybus,
         base=base,
         reference=reference,
-        sensitivity=_sensitivity(reference, ybus, pv, pq) if reference.converged else None,
+        loss_before=loss_before,
+        sensitivity=_sensitivity(reference, ybus, pv, pq),
         pv=pv,
         pq=pq,
         gen_buses=gen,
@@ -324,11 +327,10 @@ def _predicted_start(problem: DispatchProblem, q: np.ndarray, v_set: np.ndarray)
 
 def _swarm_flows(problem: DispatchProblem, positions: np.ndarray) -> tuple[np.ndarray, StackSolution]:
     """The flows of swarm positions (S, D) and the source outputs (S, D)
-    they give. A flow starts at its predicted state (`_predicted_start`),
-    or flat when the reference flow did not converge. A generator outputs
-    the computed reactive injection at its bus minus the specified one
-    (load and compensator), split evenly among the generators there; a
-    compensator outputs what the row sets."""
+    they give. A flow starts at its predicted state (`_predicted_start`).
+    A generator outputs the computed reactive injection at its bus minus
+    the specified one (load and compensator), split evenly among the
+    generators there; a compensator outputs what the row sets."""
     x = np.asarray(positions, dtype=float)
     gen, n_gen = problem.gen_buses, problem.gen_buses.size
     if x.ndim != 2 or x.shape[1] != n_gen + problem.comp_buses.size:
@@ -339,7 +341,7 @@ def _swarm_flows(problem: DispatchProblem, positions: np.ndarray) -> tuple[np.nd
     v_set = np.repeat(base.v_setpoint[None, :], len(x), axis=0)
     v_set[:, gen] = x[:, :n_gen]
     p = np.broadcast_to(base.p, q.shape)
-    start = None if problem.sensitivity is None else _predicted_start(problem, q, v_set)
+    start = _predicted_start(problem, q, v_set)
     flows = solve_stack(InjectionSpec(p, q, base.roles, v_set), problem.ybus, start)
     _, dq = compute_mismatch(flows.v, flows.delta, p, q, problem.ybus)
     return np.concatenate([-dq[:, gen] / problem.sharing, x[:, n_gen:]], axis=1), flows
@@ -360,20 +362,10 @@ def swarm_fitness(problem: DispatchProblem, positions: np.ndarray) -> np.ndarray
 def evaluate_fitness(case: NetworkCase, decision: DecisionVector) -> float:
     """Penalized objective of a decision vector, scored as swarm_fitness
     scores a row, on the flow that injects the decision's reactive outputs
-    (every generator bus PQ)."""
+    (every generator bus PQ). Refuses what compile_problem refuses."""
     problem = compile_problem(case)
     flow = solve_power_flow(case, build_injections(case, decision), problem.ybus)
     return float(_score(problem, decision.as_array()[None, :], flow.v, np.array([flow.converged]))[0])
-
-
-def _reference_loss(solution: PowerFlowSolution, case: NetworkCase, ybus: AdmittanceMatrix) -> float:
-    """Cross-checked loss of the reference flow; DispatchError if it did not
-    converge."""
-    if not solution.converged:
-        raise DispatchError(
-            f"baseline power flow did not converge (residual {solution.max_mismatch:.3e})"
-        )
-    return total_losses(solution, case, ybus)
 
 
 def baseline_loss(
@@ -386,7 +378,11 @@ def baseline_loss(
     if ybus is None:
         ybus = build_admittance(case)
     solution = solve_power_flow(case, build_injections(case), ybus)
-    return solution, _reference_loss(solution, case, ybus)
+    if not solution.converged:
+        raise DispatchError(
+            f"baseline power flow did not converge (residual {solution.max_mismatch:.3e})"
+        )
+    return solution, total_losses(solution, case, ybus)
 
 
 def run_ropf(case: NetworkCase, params: PsoParams | None = None) -> RopfReport:
@@ -395,14 +391,13 @@ def run_ropf(case: NetworkCase, params: PsoParams | None = None) -> RopfReport:
     The swarm searches generator voltage setpoints and compensator outputs
     (`swarm_fitness`). The answer is the source outputs of the best
     position's flow, clipped to their limits, and the report's flow is the
-    flat-start flow that injects them. loss_before is the loss of the
-    compiled reference flow; DispatchError if that flow did not converge.
+    flat-start flow that injects them. loss_before is the compiled
+    reference flow's loss; DispatchError if that flow did not converge.
     The run writes nothing: every fact it finds is in the report.
     """
     params = params or PsoParams()
     problem = compile_problem(case)
     ybus = problem.ybus
-    loss_before = _reference_loss(problem.reference, case, ybus)
 
     gens = dispatchable_generators(case)
     kinds = ("generator",) * len(gens) + ("compensator",) * len(case.compensators)
@@ -421,7 +416,7 @@ def run_ropf(case: NetworkCase, params: PsoParams | None = None) -> RopfReport:
         var_requirements=q,
         cost_per_source=costs,
         total_payment=float(sum(costs)),
-        loss_before=loss_before,
+        loss_before=problem.loss_before,
         loss_after=total_losses(solution, case, ybus),
         feasible=solution.converged and voltage_penalty(solution, case) == 0.0,
         converged=solution.converged,

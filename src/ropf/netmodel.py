@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -277,8 +276,8 @@ def parse_case(text: str) -> NetworkCase:
     Raises CaseError with a line number on syntax problems (unknown section,
     stray record, field count, unreadable number), on a declared-but-empty
     section, and with every violation validate_case finds in the parsed case
-    (in its violations). A negative load only warns; this model treats
-    demand as nonnegative but the format permits general signs.
+    (in its violations). A negative load is a net injection (a capacitive
+    load or embedded generation) and parses like any other.
     """
     rows: dict[str, list[tuple[int, list[str]]]] = {name: [] for name in _SECTIONS}
     declared: list[str] = []
@@ -336,10 +335,6 @@ def parse_case(text: str) -> NetworkCase:
             except ValueError:  # read again field by field to name the bad one
                 values = [_read(read, t, lineno, f) for read, t, f in zip(reads, tok, fields)]
             elements[field].append(build(*values))
-
-    for (lineno, _), load in zip(rows["LOAD"], elements["loads"]):
-        if load.p < 0 or load.q < 0:
-            warnings.warn(f"line {lineno}: negative load at bus {load.bus}", stacklevel=2)
 
     case = NetworkCase(base_mva, tuple(buses), **{k: tuple(v) for k, v in elements.items()})
     violations = validate_case(case)

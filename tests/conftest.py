@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
+import ropf
 from ropf.data import case_text, load_case
+from ropf.dispatch import run_ropf
 from ropf.netmodel import (
     Branch,
     Bus,
@@ -14,8 +19,16 @@ from ropf.netmodel import (
     Load,
     NetworkCase,
 )
+from ropf.pso import PsoParams
 
 QUADRATIC = CostQuadratic(45.0, 750.0, 450.0)
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a `python -m ropf` child that imports the same ropf
+    as the tests, installed or not."""
+    path = os.pathsep.join([str(Path(ropf.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def two_bus_case(
@@ -60,6 +73,13 @@ def compensated_case() -> NetworkCase:
 @pytest.fixture(scope="session")
 def fixture_case() -> NetworkCase:
     return load_case()
+
+
+@pytest.fixture(scope="session")
+def ten_seed_runs(fixture_case):
+    # The shipped defaults at seeds 1-10: run once, read by the acceptance
+    # gate and by the dispatch tests.
+    return [run_ropf(fixture_case, params=PsoParams(seed=s)) for s in range(1, 11)]
 
 
 @pytest.fixture(scope="session")

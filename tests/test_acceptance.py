@@ -23,8 +23,9 @@ One test per criterion, each a single pass/fail line under pytest -v:
  9. cost-model properties over 1000 random parameterizations
 10. full default CLI run on the bundled case completes within 60 s
 
-Runs at shipped default parameters; the ten-seed fixture takes most of the
-suite's wall time.
+Runs at shipped default parameters; the ten-seed fixture (a session fixture
+in conftest.py, shared with the dispatch tests) takes most of the suite's
+wall time.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import child_env
 from test_powerflow import branch_loss_sum, jacobian_fd_gap, random_connected_case, two_bus_solution
 from ropf.costmodel import (
     compensator_cost,
@@ -51,7 +53,6 @@ from ropf.dispatch import (
     build_injections,
     evaluate_fitness,
     run_pricing,
-    run_ropf,
     voltage_penalty,
 )
 from ropf.netmodel import Compensator, CostQuadratic, Generator, NetworkCase
@@ -83,11 +84,6 @@ VIOLATION_FLOOR = 9.2077909e-5
 VIOLATION_MINIMIZER = (-0.12554, 0.26228, 0.17473, 0.3)  # buses 10, 11, 13 at 0.944-0.947
 PENALTY_OPTIMUM = 3.2549347
 PENALTY_MINIMIZER = (0.03154, 0.04463, 0.23435, 0.3)
-
-
-@pytest.fixture(scope="module")
-def ten_seed_runs(fixture_case):
-    return [run_ropf(fixture_case, params=PsoParams(seed=s)) for s in range(1, 11)]
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +286,7 @@ def test_cli_default_run_within_budget(fixture_path):
         capture_output=True,
         text=True,
         timeout=120,
+        env=child_env(),
     )
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"default run took {elapsed:.1f} s"

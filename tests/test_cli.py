@@ -13,7 +13,6 @@ import dataclasses
 import importlib
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -21,8 +20,7 @@ from pathlib import Path
 
 import pytest
 
-import ropf
-from conftest import compensated_case, two_bus_case
+from conftest import child_env, compensated_case, two_bus_case
 from ropf.cli import build_parser, main
 from ropf.netmodel import CaseError, parse_case, serialize_case, validate_case
 
@@ -242,17 +240,32 @@ def test_infeasible_pricing_run_writes_nothing_to_stderr(fixture_path):
     # A subprocess, so no test plugin can take what the run writes: the
     # report on stdout and the exit code carry every fact of the run. The
     # child imports the same ropf as this test.
-    path = os.pathsep.join([str(Path(ropf.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-m", "ropf", "pricing", str(fixture_path), "--swarm-size", "4", "--iterations", "3"],
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert proc.returncode == 3
     assert "feasible: NO" in proc.stdout
     assert proc.stderr == ""
+
+
+def test_negative_load_case_runs_with_nothing_on_stderr(tmp_path, fixture_text):
+    # A negative load is a net injection: the case validates and runs, and
+    # the parser says nothing about it on stderr.
+    text, count = re.subn(r"(?m)^5\s+0\.076\s+0\.016$", "5 0.076 -0.016", fixture_text)
+    assert count == 1
+    path = tmp_path / "negative-load.case"
+    path.write_text(text)
+    runs = [["validate", str(path)], ["ropf", str(path), "--swarm-size", "4", "--iterations", "3"]]
+    for args, codes in zip(runs, [(0,), (0, 3)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ropf", *args], capture_output=True, text=True, timeout=120, env=child_env()
+        )
+        assert proc.returncode in codes, proc.stderr
+        assert proc.stderr == ""
 
 
 def test_pricing_emits_settlement(tmp_path, capsys):

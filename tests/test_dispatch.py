@@ -169,9 +169,14 @@ def test_fitness_adds_weighted_voltage_penalty():
 
 
 def test_fitness_penalizes_nonconvergence():
-    case = three_bus_case(p_load=80.0)
-    fitness = evaluate_fitness(case, DecisionVector((0.0,), ()))
-    assert fitness >= 1e6
+    # The reference flow converges with bus 1 voltage-held; the decision's
+    # flow, with bus 1 PQ at zero output, does not.
+    case = three_bus_case(p_load=9.0)
+    reference, _ = baseline_loss(case)
+    decision = DecisionVector((0.0,), ())
+    assert reference.converged
+    assert not solve_power_flow(case, build_injections(case, decision)).converged
+    assert evaluate_fitness(case, decision) >= 1e6
 
 
 def box_points(problem, count, seed):
@@ -206,7 +211,7 @@ def test_every_swarm_flow_converges_within_four_steps(fixture_case, unity):
 
 
 @pytest.mark.parametrize("unity", [False, True], ids=["bundled", "unity-power-factor"])
-def test_predicted_start_reaches_the_flat_start_solution(fixture_case, unity):
+def test_predicted_start_reaches_the_flat_start_solution(fixture_case, unity, monkeypatch):
     # A swarm flow starts at the reference flow's linear prediction. On the
     # box and its corners it lands on the solution a flat start finds, not
     # on a low-voltage one, in fewer Newton steps. The two stop at residuals
@@ -214,12 +219,13 @@ def test_predicted_start_reaches_the_flat_start_solution(fixture_case, unity):
     # apart (a flat start sits up to 7.7e-7 rad from the exact solution).
     case = unity_power_factor_case(fixture_case) if unity else fixture_case
     problem = compile_problem(case)
-    flat = replace(problem, sensitivity=None)
     box = box_points(problem, 1000, seed=23)
     corners = np.array(list(itertools.product(*problem.bounds)))
     for points in (box, corners):
         _, flows = dispatch._swarm_flows(problem, points)
-        _, from_flat = dispatch._swarm_flows(flat, points)
+        with monkeypatch.context() as patch:
+            patch.setattr(dispatch, "_predicted_start", lambda *_: None)
+            _, from_flat = dispatch._swarm_flows(problem, points)
         assert np.all(flows.converged) and np.all(from_flat.converged)
         assert np.max(np.abs(flows.v - from_flat.v)) < 1e-6
         assert np.max(np.abs(flows.delta - from_flat.delta)) < 2e-6
@@ -229,12 +235,16 @@ def test_predicted_start_reaches_the_flat_start_solution(fixture_case, unity):
 
 
 def test_a_case_whose_reference_flow_fails_starts_its_swarm_flat():
+    # Such a case is refused, not started: compiling it (and so
+    # swarm_fitness, evaluate_fitness and run_ropf) raises one DispatchError.
     case = three_bus_case(p_load=80.0)
-    problem = compile_problem(case)
-    assert not problem.reference.converged and problem.sensitivity is None
-    assert np.all(swarm_fitness(problem, np.array([[0.9], [1.0], [1.1]])) >= 1e6)
-    with pytest.raises(DispatchError, match="converge"):
+    refusal = r"^baseline power flow did not converge \(residual "
+    with pytest.raises(DispatchError, match=refusal):
+        compile_problem(case)
+    with pytest.raises(DispatchError, match=refusal):
         run_ropf(case, SMALL)
+    with pytest.raises(DispatchError, match=refusal):
+        evaluate_fitness(case, DecisionVector((0.0,), ()))
 
 
 def test_swarm_fitness_scores_the_generator_outputs_of_its_flow(fixture_case):
@@ -322,14 +332,13 @@ def test_reported_generator_outputs_lie_within_their_limits(fixture_case, varian
             assert report.var_requirements[1] == 0.1
 
 
-def test_shipped_defaults_reach_the_penalty_optimum(fixture_case):
+def test_shipped_defaults_reach_the_penalty_optimum(fixture_case, ten_seed_runs):
     # Seeds 1-10 at the shipped 30 x 300 end at the penalty optimum that
     # the acceptance gate takes from an independent global search.
-    for seed in range(1, 11):
-        report = run_ropf(fixture_case, PsoParams(seed=seed))
+    for report in ten_seed_runs:
         q = report.var_requirements
         objective = evaluate_fitness(fixture_case, DecisionVector(q[:2], q[2:]))
-        assert objective == pytest.approx(PENALTY_OPTIMUM, rel=1e-6), f"seed {seed}"
+        assert objective == pytest.approx(PENALTY_OPTIMUM, rel=1e-6), f"seed {report.seed}"
 
 
 @pytest.mark.parametrize("seed", [287485, 187400, 138809])

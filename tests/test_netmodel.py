@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -102,9 +103,12 @@ def test_parse_error_carries_line_number():
 
 
 def test_parse_warns_on_negative_load():
+    # A negative load is a net injection: it parses silently and keeps its sign.
     text = MINIMAL_CASE.replace("1 0.5 0.0", "1 0.5 -0.04")
-    with pytest.warns(UserWarning, match="negative"):
-        parse_case(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        case = parse_case(text)
+    assert case.loads[0].q == -0.04
 
 
 def test_roundtrip_through_serialization(fixture_case):
