@@ -189,6 +189,29 @@ class AdmittanceMatrix:
     branch_impedance: np.ndarray
     branch_tap: np.ndarray
 
+    @cached_property
+    def _pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The entries build_admittance can make nonzero (the diagonal and
+        both ends of every branch), row-major: their rows, columns and
+        values, and where each diagonal entry sits among them."""
+        n = self.n
+        mask = np.zeros(n * n, dtype=bool)
+        mask[:: n + 1] = True
+        mask[self.branch_from * n + self.branch_to] = True
+        mask[self.branch_to * n + self.branch_from] = True
+        flat = np.flatnonzero(mask)
+        rows, cols = np.divmod(flat, n)
+        pattern = (rows, cols, self.matrix.ravel()[flat], np.flatnonzero(rows == cols))
+        for arr in pattern:
+            arr.flags.writeable = False
+        return pattern
+
+    @cached_property
+    def _jacobian_layouts(self) -> dict:
+        """powerflow's memo of where the pattern's entries go in the Newton
+        Jacobian, one entry per bus ordering (pvpq, pq) in use."""
+        return {}
+
 
 # The five element sections in file order, each as (section, layout, case
 # field, build, values). layout names the record's fields in file order;

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import two_bus_case
+from ropf import powerflow
 from ropf.dispatch import DecisionVector, build_injections, decision_bounds, unity_power_factor_case
 from ropf.netmodel import Branch, Bus, Load, NetworkCase, build_admittance
 from ropf.powerflow import (
@@ -449,6 +450,87 @@ def test_stacked_jacobian_rows_equal_lone_jacobians_bitwise(fixture_case, size):
     stacked = mismatch_jacobian(v, delta, ybus, pvpq, pq)
     for s in range(size):
         assert np.array_equal(stacked[s], mismatch_jacobian(v[s], delta[s], ybus, pvpq, pq))
+
+
+def dense_broadcast_jacobian(v, delta, ybus, pvpq, pq):
+    """Reference: the same per-entry expressions as mismatch_jacobian, formed
+    at every (i, j) as (..., n, n) broadcasts and gathered by fancy indexing."""
+    volt = np.asarray(v, float) * np.exp(1j * np.asarray(delta, float))
+    y = ybus.matrix
+    current_conj = np.conj((y @ volt[..., None])[..., 0])
+    unit = volt / np.abs(volt)
+    ds_dangle = -1j * volt[..., :, None] * np.conj(y * volt[..., None, :])
+    ds_dvm = volt[..., :, None] * np.conj(y * unit[..., None, :])
+    idx = np.arange(volt.shape[-1])
+    ds_dangle[..., idx, idx] += 1j * volt * current_conj
+    ds_dvm[..., idx, idx] += current_conj * unit
+
+    k = pvpq.size
+    jac = np.empty(volt.shape[:-1] + (k + pq.size,) * 2)
+    jac[..., :k, :k] = ds_dangle[..., pvpq[:, None], pvpq].real
+    jac[..., :k, k:] = ds_dvm[..., pvpq[:, None], pq].real
+    jac[..., k:, :k] = ds_dangle[..., pq[:, None], pvpq].imag
+    jac[..., k:, k:] = ds_dvm[..., pq[:, None], pq].imag
+    return jac
+
+
+@pytest.mark.parametrize("size", [1, 7, 30, 400])
+@pytest.mark.parametrize("with_pv", [False, True], ids=["pq-only", "with-pv"])
+def test_jacobian_equals_the_dense_broadcast_form_bitwise(fixture_case, with_pv, size):
+    # the reference or dispatch roles, and the [pq, pv] magnitude columns
+    # that dispatch's sensitivities ask for; at 400 members the pattern's
+    # (S, nnz) temporaries pass numpy's 256 KiB in-place threshold
+    v, delta, pvpq, pq = random_states(fixture_case, with_pv, size, seed=200 + size)
+    ybus = build_admittance(fixture_case)
+    pv = pvpq[: pvpq.size - pq.size]
+    for columns in (pq, np.concatenate([pq, pv])):
+        jac = mismatch_jacobian(v, delta, ybus, pvpq, columns)
+        assert np.array_equal(jac, dense_broadcast_jacobian(v, delta, ybus, pvpq, columns))
+
+
+def test_jacobian_on_random_networks_equals_the_dense_broadcast_form_bitwise():
+    rng = np.random.default_rng(29)
+    taps = chords = 0
+    for _ in range(8):
+        case = random_connected_case(rng, int(rng.integers(20, 61)))
+        taps += sum(br.is_transformer for br in case.branches)
+        chords += len(case.branches) - case.n
+        ybus = build_admittance(case)
+        roles = rng.choice([int(PQ), int(PV)], size=case.n, p=[0.7, 0.3])
+        roles[case.n - 1] = int(SLACK)
+        pq = np.flatnonzero(roles == PQ)
+        pvpq = np.concatenate([np.flatnonzero(roles == PV), pq])
+        for size in (1, 5):
+            v = rng.uniform(0.9, 1.1, size=(size, case.n))
+            delta = rng.uniform(-0.4, 0.4, size=(size, case.n))
+            jac = mismatch_jacobian(v, delta, ybus, pvpq, pq)
+            assert np.array_equal(jac, dense_broadcast_jacobian(v, delta, ybus, pvpq, pq))
+    assert taps > 0 and chords > 0
+
+
+def test_jacobian_refills_its_output_buffer(fixture_case, monkeypatch):
+    v, delta, pvpq, pq = random_states(fixture_case, True, 14, seed=300)
+    ybus = build_admittance(fixture_case)
+    buffer = np.zeros((7, pvpq.size + pq.size, pvpq.size + pq.size))
+    first = mismatch_jacobian(v[:7], delta[:7], ybus, pvpq, pq, out=buffer)
+    assert first is buffer
+    assert np.array_equal(buffer, mismatch_jacobian(v[:7], delta[:7], ybus, pvpq, pq))
+    mismatch_jacobian(v[7:], delta[7:], ybus, pvpq, pq, out=buffer)
+    assert np.array_equal(buffer, mismatch_jacobian(v[7:], delta[7:], ybus, pvpq, pq))
+
+    # solve_stack hands every step leading rows of one buffer, also once
+    # members have stopped at different steps
+    outs = []
+
+    def recording(*args, out):
+        outs.append(out)
+        return mismatch_jacobian(*args, out=out)
+
+    monkeypatch.setattr(powerflow, "mismatch_jacobian", recording)
+    flows = solve_stack(stack_of(box_specs(fixture_case, 20, seed=23)), ybus)
+    assert len(set(flows.iterations.tolist())) > 1
+    assert len(outs) == flows.iterations.max()
+    assert all(out.base is outs[0].base and out.base.shape[0] == 20 for out in outs)
 
 
 def test_fixture_flow_with_held_generator_voltages(fixture_case):
