@@ -29,9 +29,7 @@ from .powerflow import (
     BusRole,
     InjectionSpec,
     PowerFlowSolution,
-    StackSolution,
     _matvec,
-    compute_mismatch,
     mismatch_jacobian,
     solve_power_flow,
     solve_stack,
@@ -225,8 +223,7 @@ class DispatchProblem:
     gen_buses and comp_buses map the generators and compensators to their
     buses (-1: left to the slack balance), and sharing counts the
     generators at each generator's bus. q_min and q_max are the source
-    limits and bounds the swarm's box, both in source order. The penalty
-    weights are module constants, not part of a problem. Build it with
+    limits and bounds the swarm's box, both in source order. Build it with
     compile_problem.
     """
 
@@ -325,7 +322,7 @@ def _predicted_start(problem: DispatchProblem, q: np.ndarray, v_set: np.ndarray)
     return v, delta
 
 
-def _swarm_flows(problem: DispatchProblem, positions: np.ndarray) -> tuple[np.ndarray, StackSolution]:
+def _swarm_flows(problem: DispatchProblem, positions: np.ndarray) -> tuple[np.ndarray, PowerFlowSolution]:
     """The flows of swarm positions (S, D) and the source outputs (S, D)
     they give. A flow starts at its predicted state (`_predicted_start`).
     A generator outputs the computed reactive injection at its bus minus
@@ -343,8 +340,8 @@ def _swarm_flows(problem: DispatchProblem, positions: np.ndarray) -> tuple[np.nd
     p = np.broadcast_to(base.p, q.shape)
     start = _predicted_start(problem, q, v_set)
     flows = solve_stack(InjectionSpec(p, q, base.roles, v_set), problem.ybus, start)
-    _, dq = compute_mismatch(flows.v, flows.delta, p, q, problem.ybus)
-    return np.concatenate([-dq[:, gen] / problem.sharing, x[:, n_gen:]], axis=1), flows
+    outputs = (flows.q_injected[:, gen] - q[:, gen]) / problem.sharing
+    return np.concatenate([outputs, x[:, n_gen:]], axis=1), flows
 
 
 def swarm_fitness(problem: DispatchProblem, positions: np.ndarray) -> np.ndarray:

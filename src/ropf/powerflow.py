@@ -15,21 +15,22 @@ so an optimizer can penalize it.
 One Newton loop (`solve_stack`) solves a stack of S injection sets that
 share a network, its admittance matrix and the bus roles, each member with
 its own injections, setpoints, convergence and failure mask, from a flat
-or a supplied start; `solve_power_flow` is that loop run from flat on a
-stack of one. Every member's arithmetic is the one a lone solve does (one
-matrix-vector product per member, elementwise Jacobian terms, one LAPACK
-solve per member), so a member's result does not depend on the rest of
-its stack. The Jacobian's terms are formed only where Ybus can be
-nonzero, at the diagonal and both ends of every branch (1.8% of the
-entries at 224 buses), and scattered into a dense matrix that one solve
-allocates once and refills at every step; the linear solve is dense.
+or a supplied start, and forms the injections of each member's final
+state once; `solve_power_flow` is that loop run from flat on a stack of
+one, and `total_losses` sums a solution's own injections. Every member's
+arithmetic is the one a lone solve does (one matrix-vector product per
+member, elementwise Jacobian terms, one LAPACK solve per member), so a
+member's result does not depend on the rest of its stack. The Jacobian's
+terms are formed only where Ybus can be nonzero, at the diagonal and both
+ends of every branch (1.8% of the entries at 224 buses), and scattered
+into a dense matrix that one solve allocates once and refills at every
+step; the linear solve is dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +40,6 @@ __all__ = [
     "BusRole",
     "InjectionSpec",
     "PowerFlowSolution",
-    "StackSolution",
     "compute_mismatch",
     "mismatch_jacobian",
     "solve_power_flow",
@@ -100,33 +100,25 @@ class InjectionSpec:
 
 @dataclass(frozen=True, eq=False)
 class PowerFlowSolution:
-    """Solved (or last attempted) operating point.
+    """Solved (or last attempted) operating point, or one per member of a
+    stack: every field then has one row per member, (S, n) for the bus
+    arrays and (S,) for the rest, like InjectionSpec's (n,) or (S, n).
 
     p_injected / q_injected are the net injections computed from the final
     voltages; at a converged solution the non-slack entries match the
-    specification within tolerance and the slack entries are the balance.
+    specification within tolerance and the slack entries (p_slack,
+    q_slack) are the balance.
     """
 
     v: np.ndarray
     delta: np.ndarray
     p_injected: np.ndarray
     q_injected: np.ndarray
-    iterations: int
-    max_mismatch: float
-    converged: bool
-    p_slack: float
-    q_slack: float
-
-
-class StackSolution(NamedTuple):
-    """Final (or last attempted) states of a stacked solve, one row per
-    member."""
-
-    v: np.ndarray
-    delta: np.ndarray
-    iterations: np.ndarray
-    max_mismatch: np.ndarray
-    converged: np.ndarray
+    iterations: int | np.ndarray
+    max_mismatch: float | np.ndarray
+    converged: bool | np.ndarray
+    p_slack: float | np.ndarray
+    q_slack: float | np.ndarray
 
 
 def _matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -262,15 +254,16 @@ def total_losses(
 ) -> float:
     """Total active loss, cross-checked two ways.
 
-    Computes the loss as the sum of net injections (slack included) and as
-    the sum of branch series I**2 R; a disagreement beyond 1e-8 means the
-    admittance model and the branch model have diverged, which is an
+    The loss is the sum of the solution's own net injections (slack
+    included), checked against the sum of branch series I**2 R at its
+    voltages over ybus's branch arrays; a disagreement beyond 1e-8 means
+    the admittance model and the branch model have diverged, which is an
     internal bug, so it raises. Without ybus it builds the case's.
     """
     if ybus is None:
         ybus = build_admittance(case)
     volt = solution.v * np.exp(1j * solution.delta)
-    by_injection = float(np.sum(_injections(volt, ybus).real))
+    by_injection = float(np.sum(solution.p_injected))
     z = ybus.branch_impedance
     i_series = (volt[ybus.branch_from] / ybus.branch_tap - volt[ybus.branch_to]) / z
     by_branch = float(np.sum(z.real * np.abs(i_series) ** 2))
@@ -285,7 +278,7 @@ def solve_stack(
     spec: InjectionSpec,
     ybus: AdmittanceMatrix,
     start: tuple[np.ndarray, np.ndarray] | None = None,
-) -> StackSolution:
+) -> PowerFlowSolution:
     """Solve the AC power flow of every injection set in a stack.
 
     spec.p and spec.q are (S, n), or (n,) for a stack of one. Starts from
@@ -296,7 +289,9 @@ def solve_stack(
     reaches TOLERANCE, and as not converged after MAX_ITERATIONS steps, or
     when its Newton step is singular or non-finite or would leave a
     non-finite or non-positive voltage magnitude; it then keeps its last
-    usable state. The other members are unaffected.
+    usable state. The other members are unaffected. Returns one row per
+    member in every field, with the injections of each member's final
+    state.
     """
     roles = spec.roles
     if ybus.n != roles.size:
@@ -356,7 +351,11 @@ def solve_stack(
             v[active] = v_now
             delta[active] = delta_now
         iterations[active] += 1
-    return StackSolution(v, delta, iterations, max_mismatch, converged)
+    s_calc = _injections(v * np.exp(1j * delta), ybus)
+    p_calc, q_calc = s_calc.real, s_calc.imag
+    return PowerFlowSolution(
+        v, delta, p_calc, q_calc, iterations, max_mismatch, converged, p_calc[:, slack], q_calc[:, slack]
+    )
 
 
 def solve_power_flow(
@@ -365,7 +364,9 @@ def solve_power_flow(
     ybus: AdmittanceMatrix | None = None,
 ) -> PowerFlowSolution:
     """Solve the AC power flow for one set of injections from a flat start:
-    `solve_stack` on a stack of one, plus the injections of the final state.
+    the one row of `solve_stack` on a stack of one, which carries the
+    injections of the final state, with Python scalars for iterations,
+    max_mismatch, converged, p_slack and q_slack.
 
     Returns converged=False (with the last usable state) when the residual
     norm is still above TOLERANCE after MAX_ITERATIONS, or when a Newton
@@ -379,18 +380,16 @@ def solve_power_flow(
         raise ValueError("solve_power_flow takes one injection set; solve_stack takes a stack")
     flows = solve_stack(spec, ybus)
     v, delta = flows.v[0], flows.delta[0]
-    s_calc = _injections(v * np.exp(1j * delta), ybus)
-    slack = spec.slack_index
     v.flags.writeable = False
     delta.flags.writeable = False
     return PowerFlowSolution(
         v=v,
         delta=delta,
-        p_injected=s_calc.real,
-        q_injected=s_calc.imag,
+        p_injected=flows.p_injected[0],
+        q_injected=flows.q_injected[0],
         iterations=int(flows.iterations[0]),
         max_mismatch=float(flows.max_mismatch[0]),
         converged=bool(flows.converged[0]),
-        p_slack=float(s_calc.real[slack]),
-        q_slack=float(s_calc.imag[slack]),
+        p_slack=float(flows.p_slack[0]),
+        q_slack=float(flows.q_slack[0]),
     )

@@ -13,6 +13,7 @@ computed here from scratch.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -65,6 +66,14 @@ def branch_loss_sum(case, solution):
         i_series = (vf / br.tap_ratio - vt) / complex(br.resistance, br.reactance)
         total += br.resistance * abs(i_series) ** 2
     return total
+
+
+INJECTION_FIELDS = ("p_injected", "q_injected", "p_slack", "q_slack")
+
+
+def bits(x):
+    """The raw bytes of a float or an array of floats."""
+    return np.asarray(x, dtype=float).tobytes()
 
 
 def test_spec_requires_exactly_one_slack():
@@ -256,6 +265,13 @@ def test_stack_member_failures_leave_the_others_bitwise():
         assert alone.max_mismatch[0] == flows.max_mismatch[k]
         assert np.array_equal(alone.v[0], flows.v[k])
         assert np.array_equal(alone.delta[0], flows.delta[k])
+        for name in INJECTION_FIELDS:
+            assert bits(getattr(alone, name)[0]) == bits(getattr(flows, name)[k])
+    # every member's injections are those of its final state, for the
+    # failed members their last usable one
+    minus_p, minus_q = compute_mismatch(flows.v, flows.delta, 0.0, 0.0, ybus)
+    assert np.array_equal(flows.p_injected, -minus_p) and np.array_equal(flows.q_injected, -minus_q)
+    assert np.all(np.isfinite(flows.p_injected)) and np.all(np.isfinite(flows.q_injected))
 
 
 def box_specs(case, count, seed):
@@ -318,6 +334,8 @@ def test_stack_with_per_member_setpoints_equals_lone_solves(fixture_case):
         assert alone.max_mismatch == flows.max_mismatch[k]
         assert np.array_equal(alone.v, flows.v[k])
         assert np.array_equal(alone.delta, flows.delta[k])
+        for name in INJECTION_FIELDS:
+            assert bits(getattr(alone, name)) == bits(getattr(flows, name)[k])
 
 
 def test_total_losses_takes_the_ybus_at_hand(fixture_case):
@@ -325,6 +343,15 @@ def test_total_losses_takes_the_ybus_at_hand(fixture_case):
     spec = build_injections(fixture_case)
     solution = solve_power_flow(fixture_case, spec, ybus)
     assert repr(total_losses(solution, fixture_case, ybus)) == repr(total_losses(solution, fixture_case))
+
+
+def test_total_losses_refuses_a_branch_model_that_disagrees_with_the_flow(fixture_case):
+    ybus = build_admittance(fixture_case)
+    solution = solve_power_flow(fixture_case, build_injections(fixture_case), ybus)
+    assert total_losses(solution, fixture_case, ybus) == float(np.sum(solution.p_injected))
+    skewed = dataclasses.replace(ybus, branch_impedance=1.1 * ybus.branch_impedance)
+    with pytest.raises(AssertionError, match="loss cross-check failed"):
+        total_losses(solution, fixture_case, skewed)
 
 
 def random_connected_case(rng, n):
