@@ -5,11 +5,12 @@ The answer is a decision vector of reactive outputs within the source
 limits: the non-slack generators first, then the compensators, both in
 case order. The swarm searches the usual form of optimal reactive
 dispatch instead: generator buses are voltage-held (PV), a particle sets
-the generator voltages, then the compensator outputs, and a generator's
-reactive output is a result of the flow, held to its limits by a penalty.
+one voltage per generator bus, then the compensator outputs, and a
+generator's reactive output is a result of the flow, held to its limits
+by a penalty.
 A run compiles its case once (`compile_problem`), solving the reference
 flow and its sensitivities, and scores the whole swarm through one
-stacked power flow (`swarm_fitness`: (S, D) to S values) that starts each
+stacked power flow (`swarm_fitness`: (S, P) to S values) that starts each
 row at the reference flow's linear prediction for it. `evaluate_fitness`
 scores a decision vector on its own flat-start flow through the same
 scorer. A case whose reference flow does not converge is refused
@@ -223,7 +224,8 @@ class DispatchProblem:
     gen_buses and comp_buses map the generators and compensators to their
     buses (-1: left to the slack balance), and sharing counts the
     generators at each generator's bus. q_min and q_max are the source
-    limits and bounds the swarm's box, both in source order. Build it with
+    limits, in source order, and bounds the swarm's box: one voltage
+    setpoint per pv bus, then the compensator limits. Build it with
     compile_problem.
     """
 
@@ -284,7 +286,7 @@ def compile_problem(case: NetworkCase) -> DispatchProblem:
         comp_buses=positions[n_gen:],
         q_min=np.array([lo for lo, _ in limits]),
         q_max=np.array([hi for _, hi in limits]),
-        bounds=[VOLTAGE_SETPOINT_BOX] * n_gen + limits[n_gen:],
+        bounds=[VOLTAGE_SETPOINT_BOX] * pv.size + limits[n_gen:],
         v_min=np.array([b.v_min for b in case.buses]),
         v_max=np.array([b.v_max for b in case.buses]),
     )
@@ -323,34 +325,34 @@ def _predicted_start(problem: DispatchProblem, q: np.ndarray, v_set: np.ndarray)
 
 
 def _swarm_flows(problem: DispatchProblem, positions: np.ndarray) -> tuple[np.ndarray, PowerFlowSolution]:
-    """The flows of swarm positions (S, D) and the source outputs (S, D)
+    """The flows of swarm positions (S, P) and the source outputs (S, D)
     they give. A flow starts at its predicted state (`_predicted_start`).
     A generator outputs the computed reactive injection at its bus minus
     the specified one (load and compensator), split evenly among the
     generators there; a compensator outputs what the row sets."""
     x = np.asarray(positions, dtype=float)
-    gen, n_gen = problem.gen_buses, problem.gen_buses.size
-    if x.ndim != 2 or x.shape[1] != n_gen + problem.comp_buses.size:
+    gen, held = problem.gen_buses, problem.pv.size
+    if x.ndim != 2 or x.shape[1] != len(problem.bounds):
         raise ValueError(f"expected an (S, {len(problem.bounds)}) array of positions, got shape {x.shape}")
     base = problem.base
     q = np.repeat(base.q[None, :], len(x), axis=0)
-    _add_source_outputs(q, problem.comp_buses, x[:, n_gen:])
+    _add_source_outputs(q, problem.comp_buses, x[:, held:])
     v_set = np.repeat(base.v_setpoint[None, :], len(x), axis=0)
-    v_set[:, gen] = x[:, :n_gen]
+    v_set[:, problem.pv] = x[:, :held]
     p = np.broadcast_to(base.p, q.shape)
     start = _predicted_start(problem, q, v_set)
     flows = solve_stack(InjectionSpec(p, q, base.roles, v_set), problem.ybus, start)
     outputs = (flows.q_injected[:, gen] - q[:, gen]) / problem.sharing
-    return np.concatenate([outputs, x[:, n_gen:]], axis=1), flows
+    return np.concatenate([outputs, x[:, held:]], axis=1), flows
 
 
 def swarm_fitness(problem: DispatchProblem, positions: np.ndarray) -> np.ndarray:
-    """Penalized objective of each row of an (S, D) array of swarm
-    positions, generator voltage setpoints then compensator outputs inside
-    problem.bounds; returns S values. A row's flow holds the generator
-    buses at its setpoints and is scored (`_score`) on the source outputs
-    it gives. Each row is scored as if alone, so a stack gives the values
-    its members would give one by one.
+    """Penalized objective of each row of an (S, P) array of swarm
+    positions, one voltage setpoint per generator bus then the compensator
+    outputs, inside problem.bounds; returns S values. A row's flow holds
+    the generator buses at its setpoints and is scored (`_score`) on the
+    source outputs it gives. Each row is scored as if alone, so a stack
+    gives the values its members would give one by one.
     """
     outputs, flows = _swarm_flows(problem, positions)
     return _score(problem, outputs, flows.v, flows.converged)
@@ -379,7 +381,7 @@ def baseline_loss(
         raise DispatchError(
             f"baseline power flow did not converge (residual {solution.max_mismatch:.3e})"
         )
-    return solution, total_losses(solution, case, ybus)
+    return solution, total_losses(solution, case)
 
 
 def run_ropf(case: NetworkCase, params: PsoParams | None = None) -> RopfReport:
@@ -414,7 +416,7 @@ def run_ropf(case: NetworkCase, params: PsoParams | None = None) -> RopfReport:
         cost_per_source=costs,
         total_payment=float(sum(costs)),
         loss_before=problem.loss_before,
-        loss_after=total_losses(solution, case, ybus),
+        loss_after=total_losses(solution, case),
         feasible=solution.converged and voltage_penalty(solution, case) == 0.0,
         converged=solution.converged,
         gbest_fitness=result.fitness,

@@ -179,26 +179,19 @@ class NetworkCase:
 
 @dataclass(frozen=True, eq=False)
 class AdmittanceMatrix:
-    """Dense complex bus admittance matrix and the branch arrays it was built
-    from (terminal positions, series impedance r + jx, tap), all read-only."""
+    """Dense complex bus admittance matrix (Ybus), read-only."""
 
     n: int
     matrix: np.ndarray
-    branch_from: np.ndarray
-    branch_to: np.ndarray
-    branch_impedance: np.ndarray
-    branch_tap: np.ndarray
 
     @cached_property
     def _pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The entries build_admittance can make nonzero (the diagonal and
-        both ends of every branch), row-major: their rows, columns and
-        values, and where each diagonal entry sits among them."""
+        """The diagonal and the nonzero entries of the matrix, row-major:
+        their rows, columns and values, and where each diagonal entry sits
+        among them."""
         n = self.n
-        mask = np.zeros(n * n, dtype=bool)
+        mask = self.matrix.ravel() != 0
         mask[:: n + 1] = True
-        mask[self.branch_from * n + self.branch_to] = True
-        mask[self.branch_to * n + self.branch_from] = True
         flat = np.flatnonzero(mask)
         rows, cols = np.divmod(flat, n)
         pattern = (rows, cols, self.matrix.ravel()[flat], np.flatnonzero(rows == cols))
@@ -529,29 +522,24 @@ def build_admittance(case: NetworkCase) -> AdmittanceMatrix:
     Plain line (tap 1): series y = 1/(r + jx) plus half the charging at
     each terminal. Off-nominal tap a on the from side: y/a**2 at the from
     diagonal, y at the to diagonal, -y/a on both off-diagonals, which keeps
-    the matrix symmetric.
+    the matrix symmetric. Each branch's four terms are formed in Python
+    complex arithmetic and added up in one unbuffered scatter, so every
+    entry sums its terms in branch order.
     """
     n = case.n
-    y = np.zeros((n, n), dtype=complex)
-    ends, impedance, tap = [], [], []
+    flat, terms = [], []
     for br in case.branches:
         if br.resistance == 0.0 and br.reactance == 0.0:
             raise CaseError(f"branch {br.from_bus}-{br.to_bus}: zero impedance")
         i = case.index_of(br.from_bus)
         j = case.index_of(br.to_bus)
-        z = complex(br.resistance, br.reactance)
-        series = 1.0 / z
+        series = 1.0 / complex(br.resistance, br.reactance)
         shunt = 0.5j * br.charging_susceptance
         a = br.tap_ratio
-        y[i, i] += (series + shunt) / (a * a)
-        y[j, j] += series + shunt
-        y[i, j] -= series / a
-        y[j, i] -= series / a
-        ends.extend((i, j))
-        impedance.append(z)
-        tap.append(a)
-    ends = np.array(ends, dtype=int).reshape(-1, 2)
-    arrays = (y, ends[:, 0], ends[:, 1], np.array(impedance, dtype=complex), np.array(tap, dtype=float))
-    for arr in arrays:
-        arr.flags.writeable = False
-    return AdmittanceMatrix(n, *arrays)
+        flat += (i * n + i, j * n + j, i * n + j, j * n + i)
+        terms += ((series + shunt) / (a * a), series + shunt, -(series / a), -(series / a))
+    y = np.zeros(n * n, dtype=complex)
+    np.add.at(y, np.array(flat, dtype=int), np.array(terms, dtype=complex))
+    y = y.reshape(n, n)
+    y.flags.writeable = False
+    return AdmittanceMatrix(n, y)

@@ -17,14 +17,14 @@ share a network, its admittance matrix and the bus roles, each member with
 its own injections, setpoints, convergence and failure mask, from a flat
 or a supplied start, and forms the injections of each member's final
 state once; `solve_power_flow` is that loop run from flat on a stack of
-one, and `total_losses` sums a solution's own injections. Every member's
-arithmetic is the one a lone solve does (one matrix-vector product per
-member, elementwise Jacobian terms, one LAPACK solve per member), so a
-member's result does not depend on the rest of its stack. The Jacobian's
-terms are formed only where Ybus can be nonzero, at the diagonal and both
-ends of every branch (1.8% of the entries at 224 buses), and scattered
-into a dense matrix that one solve allocates once and refills at every
-step; the linear solve is dense.
+one, and `total_losses` sums a solution's own injections and checks them
+against the case's branch records. Every member's arithmetic is the one
+a lone solve does (one matrix-vector product per member, elementwise
+Jacobian terms, one LAPACK solve per member), so a member's result does
+not depend on the rest of its stack. The Jacobian's terms are formed
+only at Ybus's nonzeros and its diagonal (1.8% of the entries at 224
+buses), and scattered into a dense matrix that one solve allocates once
+and refills at every step; the linear solve is dense.
 """
 
 from __future__ import annotations
@@ -197,9 +197,9 @@ def mismatch_jacobian(
     form, Zimmerman et al., IEEE TPWRS 26(1), 2011):
     dS_i/d delta_j = -j V_i conj(Y_ij V_j), plus j V_i conj(I_i) if i = j;
     dS_i/d |V_j| = V_i conj(Y_ij u_j), plus conj(I_i) u_i if i = j.
-    Both are formed only where Y can be nonzero, at the diagonal and both
-    ends of every branch (Tinney & Hart, IEEE TPAS 86(11), 1967); every
-    other entry of the Jacobian is zero.
+    Both are formed only at Ybus's nonzeros and the diagonal (Tinney &
+    Hart, IEEE TPAS 86(11), 1967); every other entry of the Jacobian is
+    zero.
 
     The result is written into out when given, of shape (..., m, m) with
     m = pvpq.size + pq.size; out must be zero wherever ybus's pattern puts
@@ -247,25 +247,23 @@ def _newton_steps(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
         return steps
 
 
-def total_losses(
-    solution: PowerFlowSolution,
-    case: NetworkCase,
-    ybus: AdmittanceMatrix | None = None,
-) -> float:
+def total_losses(solution: PowerFlowSolution, case: NetworkCase) -> float:
     """Total active loss, cross-checked two ways.
 
     The loss is the sum of the solution's own net injections (slack
     included), checked against the sum of branch series I**2 R at its
-    voltages over ybus's branch arrays; a disagreement beyond 1e-8 means
-    the admittance model and the branch model have diverged, which is an
-    internal bug, so it raises. Without ybus it builds the case's.
+    voltages over the case's branch records; a disagreement beyond 1e-8
+    means the admittance model and the branch model have diverged, which
+    is an internal bug, so it raises. It builds no admittance matrix.
     """
-    if ybus is None:
-        ybus = build_admittance(case)
+    branches = case.branches
+    start = np.array([case.index_of(b.from_bus) for b in branches], dtype=int)
+    end = np.array([case.index_of(b.to_bus) for b in branches], dtype=int)
+    z = np.array([complex(b.resistance, b.reactance) for b in branches], dtype=complex)
+    tap = np.array([b.tap_ratio for b in branches], dtype=float)
     volt = solution.v * np.exp(1j * solution.delta)
     by_injection = float(np.sum(solution.p_injected))
-    z = ybus.branch_impedance
-    i_series = (volt[ybus.branch_from] / ybus.branch_tap - volt[ybus.branch_to]) / z
+    i_series = (volt[start] / tap - volt[end]) / z
     by_branch = float(np.sum(z.real * np.abs(i_series) ** 2))
     if abs(by_injection - by_branch) > 1e-8:
         raise AssertionError(

@@ -275,7 +275,9 @@ def test_generators_at_one_bus_share_its_output_evenly(fixture_case):
     second = replace(next(g for g in fixture_case.generators if g.bus == 2), p_output=0.0)
     shared = replace(fixture_case, generators=fixture_case.generators + (second,))
     alone, flows = dispatch._swarm_flows(compile_problem(fixture_case), np.array([[1.02, 1.01, 0.1, 0.2]]))
-    split, shared_flows = dispatch._swarm_flows(compile_problem(shared), np.array([[1.02, 1.01, 1.01, 0.1, 0.2]]))
+    # One voltage setpoint per generator bus: the shared bus has one.
+    assert len(compile_problem(shared).bounds) == 4
+    split, shared_flows = dispatch._swarm_flows(compile_problem(shared), np.array([[1.02, 1.01, 0.1, 0.2]]))
     assert flows.converged[0] and np.array_equal(shared_flows.v, flows.v)
     assert split[0].tolist() == [alone[0, 0], alone[0, 1] / 2, alone[0, 1] / 2, 0.1, 0.2]
 

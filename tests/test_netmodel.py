@@ -346,6 +346,63 @@ def test_admittance_rejects_zero_impedance():
         build_admittance(case)
 
 
+def scalar_admittance(case):
+    """Ybus from scratch, one scalar update per term in branch order."""
+    n = case.n
+    y = np.zeros((n, n), dtype=complex)
+    for br in case.branches:
+        i, j = case.index_of(br.from_bus), case.index_of(br.to_bus)
+        series = 1.0 / complex(br.resistance, br.reactance)
+        shunt = 0.5j * br.charging_susceptance
+        a = br.tap_ratio
+        y[i, i] += (series + shunt) / (a * a)
+        y[j, j] += series + shunt
+        y[i, j] -= series / a
+        y[j, i] -= series / a
+    return y
+
+
+def random_branchy_case(rng, n):
+    """A chain of charged lines on shuffled bus ids, a parallel line, a
+    transformer listed in both directions and a few chords, some tapped."""
+    ids = [int(k) for k in rng.permutation(np.arange(1, 3 * n + 1))[:n]]
+    buses = tuple(Bus(b, "slack" if k == 0 else "load") for k, b in enumerate(ids))
+
+    def impedance():
+        return float(rng.uniform(0.005, 0.1)), float(rng.uniform(0.02, 0.4))
+
+    branches = [Branch(f, t, *impedance(), float(rng.uniform(0.0, 0.3))) for f, t in zip(ids, ids[1:])]
+    twin = branches[int(rng.integers(len(branches)))]
+    branches.append(Branch(twin.from_bus, twin.to_bus, *impedance(), float(rng.uniform(0.0, 0.3))))
+    f, t = ids[int(rng.integers(n - 1))], ids[-1]
+    branches.append(Branch(f, t, *impedance(), tap_ratio=float(rng.uniform(0.9, 1.1))))
+    branches.append(Branch(t, f, *impedance(), tap_ratio=float(rng.uniform(0.9, 1.1))))
+    for _ in range(int(rng.integers(0, 4))):
+        f, t = (int(b) for b in rng.choice(ids, size=2, replace=False))
+        tap = float(rng.uniform(0.9, 1.1)) if rng.random() < 0.5 else 1.0
+        branches.append(Branch(f, t, *impedance(), float(rng.uniform(0.0, 0.2)), tap))
+    order = rng.permutation(len(branches))
+    return NetworkCase(base_mva=100.0, buses=buses, branches=tuple(branches[k] for k in order))
+
+
+def test_admittance_sums_each_entry_in_branch_order():
+    # Bit for bit the scalar assembly, and its pattern is the diagonal plus
+    # both ends of every branch.
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        case = random_branchy_case(rng, int(rng.integers(3, 16)))
+        ybus = build_admittance(case)
+        assert ybus.matrix.tobytes() == scalar_admittance(case).tobytes()
+        mask = np.eye(case.n, dtype=bool)
+        for br in case.branches:
+            i, j = case.index_of(br.from_bus), case.index_of(br.to_bus)
+            mask[i, j] = mask[j, i] = True
+        rows, cols, values, diag = ybus._pattern
+        assert np.array_equal(rows, np.nonzero(mask)[0]) and np.array_equal(cols, np.nonzero(mask)[1])
+        assert values.tobytes() == ybus.matrix[mask].tobytes()
+        assert np.array_equal(diag, np.flatnonzero(rows == cols)) and diag.size == case.n
+
+
 def test_cost_quadratic_evaluates():
     cost = CostQuadratic(45.0, 750.0, 450.0)
     assert cost(0.0) == 45.0

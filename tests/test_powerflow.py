@@ -338,20 +338,25 @@ def test_stack_with_per_member_setpoints_equals_lone_solves(fixture_case):
             assert bits(getattr(alone, name)) == bits(getattr(flows, name)[k])
 
 
-def test_total_losses_takes_the_ybus_at_hand(fixture_case):
-    ybus = build_admittance(fixture_case)
-    spec = build_injections(fixture_case)
-    solution = solve_power_flow(fixture_case, spec, ybus)
-    assert repr(total_losses(solution, fixture_case, ybus)) == repr(total_losses(solution, fixture_case))
+def test_total_losses_builds_no_admittance_matrix(fixture_case, monkeypatch):
+    solution = solve_power_flow(fixture_case, build_injections(fixture_case))
+
+    def refuse(case):
+        raise AssertionError("total_losses built an admittance matrix")
+
+    monkeypatch.setattr(powerflow, "build_admittance", refuse)
+    assert total_losses(solution, fixture_case) == float(np.sum(solution.p_injected))
 
 
 def test_total_losses_refuses_a_branch_model_that_disagrees_with_the_flow(fixture_case):
-    ybus = build_admittance(fixture_case)
-    solution = solve_power_flow(fixture_case, build_injections(fixture_case), ybus)
-    assert total_losses(solution, fixture_case, ybus) == float(np.sum(solution.p_injected))
-    skewed = dataclasses.replace(ybus, branch_impedance=1.1 * ybus.branch_impedance)
+    solution = solve_power_flow(fixture_case, build_injections(fixture_case))
+    assert total_losses(solution, fixture_case) == float(np.sum(solution.p_injected))
+    skewed = dataclasses.replace(
+        fixture_case,
+        branches=tuple(dataclasses.replace(b, resistance=1.1 * b.resistance) for b in fixture_case.branches),
+    )
     with pytest.raises(AssertionError, match="loss cross-check failed"):
-        total_losses(solution, fixture_case, skewed)
+        total_losses(solution, skewed)
 
 
 def random_connected_case(rng, n):
