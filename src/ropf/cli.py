@@ -110,14 +110,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_powerflow(args: argparse.Namespace) -> int:
     case = _load_case(args.case_path)
     solution, loss = baseline_loss(case)
+    slack = case.index_of(case.slack_bus().id)
     body = {
         "bus_ids": [b.id for b in case.buses],
         "bus_voltages_pu": [float(x) for x in solution.v],
         "bus_angles_rad": [float(x) for x in solution.delta],
         "iterations": solution.iterations,
         "total_loss_pu": loss,
-        "slack_p_pu": solution.p_slack,
-        "slack_q_pu": solution.q_slack,
+        "slack_p_pu": float(solution.p_injected[slack]),
+        "slack_q_pu": float(solution.q_injected[slack]),
     }
     lines = [f"{'bus':>5}{'V (p.u.)':>12}{'angle (deg)':>14}"]
     for bus, v, d in zip(case.buses, solution.v, solution.delta):

@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 HOURS_PER_YEAR = 365 * 24
+# How far (p.u.) an output may pass its limit, as rounding, before a cost
+# function refuses it.
+_LIMIT_TOLERANCE = 1e-12
 
 
 def generator_opportunity_cost(gen: Generator, q: float | np.ndarray) -> float | np.ndarray:
@@ -36,7 +39,7 @@ def generator_opportunity_cost(gen: Generator, q: float | np.ndarray) -> float |
     between those outputs scaled by the profit rate. Even in q, zero at
     q = 0, increasing in |q|.
     """
-    if np.any(np.abs(q) > gen.s_max + 1e-12):
+    if np.any(np.abs(q) > gen.s_max + _LIMIT_TOLERANCE):
         raise ValueError(f"|q| = {np.max(np.abs(q))} exceeds apparent capability {gen.s_max}")
     p_capped = np.sqrt(np.maximum(gen.s_max * gen.s_max - q * q, 0.0))
     return (gen.cost(gen.s_max) - gen.cost(p_capped)) * gen.profit_rate
@@ -46,7 +49,7 @@ def compensator_cost(
     comp: Compensator, q: float | np.ndarray, base_mva: float
 ) -> float | np.ndarray:
     """Payment to a compensator, $/h: rate ($/MVArh) times MVAr supplied."""
-    if np.any((q < comp.q_min - 1e-12) | (q > comp.q_max + 1e-12)):
+    if np.any((q < comp.q_min - _LIMIT_TOLERANCE) | (q > comp.q_max + _LIMIT_TOLERANCE)):
         raise ValueError(
             f"compensator at bus {comp.bus}: q = {q} outside [{comp.q_min}, {comp.q_max}]"
         )
@@ -91,7 +94,7 @@ def total_reactive_cost(
         raise ValueError(f"expected {n_sources} source outputs, got {len(q)}")
     costs = []
     for gen, q_gen in zip(gens, q):
-        if np.any((q_gen < gen.q_min - 1e-12) | (q_gen > gen.q_max + 1e-12)):
+        if np.any((q_gen < gen.q_min - _LIMIT_TOLERANCE) | (q_gen > gen.q_max + _LIMIT_TOLERANCE)):
             raise ValueError(
                 f"generator at bus {gen.bus}: q = {q_gen} outside [{gen.q_min}, {gen.q_max}]"
             )

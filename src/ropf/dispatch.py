@@ -141,20 +141,18 @@ def decision_bounds(case: NetworkCase) -> list[tuple[float, float]]:
 
 
 def _source_positions(case: NetworkCase) -> np.ndarray:
-    """Bus position of each decision entry, source order; -1 for a
-    compensator at the slack bus, whose output the slack balance absorbs."""
-    slack_id = case.slack_bus().id
-    gens = [case.index_of(g.bus) for g in dispatchable_generators(case)]
-    comps = [-1 if c.bus == slack_id else case.index_of(c.bus) for c in case.compensators]
-    return np.array(gens + comps, dtype=int)
+    """Bus position of each decision entry, source order. A compensator at
+    the slack bus has one too: the solver ignores the slack's specified q,
+    so its output changes no flow."""
+    sources = dispatchable_generators(case) + case.compensators
+    return np.array([case.index_of(s.bus) for s in sources], dtype=int)
 
 
 def _add_source_outputs(q: np.ndarray, positions: np.ndarray, values: np.ndarray) -> None:
     """Add decision values (D,) or (S, D) to bus injections (n,) or (S, n),
-    one source at a time in source order, skipping positions of -1."""
+    one source at a time in source order."""
     for k, value in zip(positions, values.T):
-        if k >= 0:
-            q[..., k] += value
+        q[..., k] += value
 
 
 def build_injections(case: NetworkCase, decision: DecisionVector | None = None) -> InjectionSpec:
@@ -164,8 +162,9 @@ def build_injections(case: NetworkCase, decision: DecisionVector | None = None) 
     output. Without a decision this is the reference flow: the generator
     buses are voltage-held at 1.0 p.u. and every source outputs zero. With
     one, every generator bus is PQ and the generators and compensators
-    inject the decision's reactive outputs. Sources at the slack bus are
-    left to the slack balance.
+    inject the decision's reactive outputs. A source at the slack bus adds
+    to the slack's specified q, which the solver ignores: the slack
+    balance absorbs it.
     """
     n = case.n
     p = np.zeros(n)
@@ -220,13 +219,12 @@ class DispatchProblem:
     reference is base's converged flow from a flat start, loss_before its
     cross-checked loss, and sensitivity its linear change of the unknowns
     per unit change of the pv setpoints and pq reactive injections. pv and
-    pq are the positions of base's PV and PQ buses;
-    gen_buses and comp_buses map the generators and compensators to their
-    buses (-1: left to the slack balance), and sharing counts the
-    generators at each generator's bus. q_min and q_max are the source
-    limits, in source order, and bounds the swarm's box: one voltage
-    setpoint per pv bus, then the compensator limits. Build it with
-    compile_problem.
+    pq are the positions of base's PV and PQ buses; gen_buses and
+    comp_buses map the generators and compensators to their buses, and
+    sharing counts the generators at each generator's bus. q_min and
+    q_max are the source limits, in source order, and bounds the swarm's
+    box: one voltage setpoint per pv bus, then the compensator limits.
+    Build it with compile_problem.
     """
 
     case: NetworkCase

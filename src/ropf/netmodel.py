@@ -179,9 +179,9 @@ class NetworkCase:
 
 @dataclass(frozen=True, eq=False)
 class AdmittanceMatrix:
-    """Dense complex bus admittance matrix (Ybus), read-only."""
+    """Dense complex bus admittance matrix (Ybus), read-only; its size is
+    len(matrix)."""
 
-    n: int
     matrix: np.ndarray
 
     @cached_property
@@ -189,7 +189,7 @@ class AdmittanceMatrix:
         """The diagonal and the nonzero entries of the matrix, row-major:
         their rows, columns and values, and where each diagonal entry sits
         among them."""
-        n = self.n
+        n = len(self.matrix)
         mask = self.matrix.ravel() != 0
         mask[:: n + 1] = True
         flat = np.flatnonzero(mask)
@@ -542,4 +542,4 @@ def build_admittance(case: NetworkCase) -> AdmittanceMatrix:
     np.add.at(y, np.array(flat, dtype=int), np.array(terms, dtype=complex))
     y = y.reshape(n, n)
     y.flags.writeable = False
-    return AdmittanceMatrix(n, y)
+    return AdmittanceMatrix(y)

@@ -16,7 +16,8 @@ One Newton loop (`solve_stack`) solves a stack of S injection sets that
 share a network, its admittance matrix and the bus roles, each member with
 its own injections, setpoints, convergence and failure mask, from a flat
 or a supplied start, and forms the injections of each member's final
-state once; `solve_power_flow` is that loop run from flat on a stack of
+state once; the slack machine's output is read from them, as the slack
+entries. `solve_power_flow` is that loop run from flat on a stack of
 one, and `total_losses` sums a solution's own injections and checks them
 against the case's branch records. Every member's arithmetic is the one
 a lone solve does (one matrix-vector product per member, elementwise
@@ -93,10 +94,6 @@ class InjectionSpec:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
-    def slack_index(self) -> int:
-        return int(np.flatnonzero(self.roles == BusRole.SLACK)[0])
-
 
 @dataclass(frozen=True, eq=False)
 class PowerFlowSolution:
@@ -106,8 +103,8 @@ class PowerFlowSolution:
 
     p_injected / q_injected are the net injections computed from the final
     voltages; at a converged solution the non-slack entries match the
-    specification within tolerance and the slack entries (p_slack,
-    q_slack) are the balance.
+    specification within tolerance and the slack entries are the balance,
+    the slack machine's output.
     """
 
     v: np.ndarray
@@ -117,8 +114,6 @@ class PowerFlowSolution:
     iterations: int | np.ndarray
     max_mismatch: float | np.ndarray
     converged: bool | np.ndarray
-    p_slack: float | np.ndarray
-    q_slack: float | np.ndarray
 
 
 def _matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -166,7 +161,7 @@ def _jacobian_layout(ybus: AdmittanceMatrix, pvpq: np.ndarray, pq: np.ndarray) -
         nnz = rows.size
         # each bus's row or column among the angle unknowns (pvpq), then
         # the magnitude unknowns (pq); -1 where it has none
-        place = np.full((2, ybus.n), -1)
+        place = np.full((2, len(ybus.matrix)), -1)
         place[0, pvpq] = np.arange(pvpq.size)
         place[1, pq] = pvpq.size + np.arange(pq.size)
         # blocks dP/d delta, dP/d |V|, dQ/d delta, dQ/d |V|: P rows read real
@@ -279,8 +274,9 @@ def solve_stack(
 ) -> PowerFlowSolution:
     """Solve the AC power flow of every injection set in a stack.
 
-    spec.p and spec.q are (S, n), or (n,) for a stack of one. Starts from
-    the supplied (v, delta) pair, (n,) or (S, n), or flat without one.
+    spec.p and spec.q are (S, n), or (n,) for a stack of one; Ybus's size
+    must be n. Starts from the supplied (v, delta) pair, (n,) or (S, n),
+    or flat, (1.0, 0.0), without one.
     Voltage magnitudes of the slack and PV buses are held at each member's
     setpoints (spec.v_setpoint, (n,) or one row per member); the slack
     angle is zero. A member stops as converged when its residual norm
@@ -289,24 +285,21 @@ def solve_stack(
     non-finite or non-positive voltage magnitude; it then keeps its last
     usable state. The other members are unaffected. Returns one row per
     member in every field, with the injections of each member's final
-    state.
+    state, the slack's output among them.
     """
     roles = spec.roles
-    if ybus.n != roles.size:
+    if len(ybus.matrix) != roles.size:
         raise ValueError("injection spec and admittance matrix sizes disagree")
     pv = np.flatnonzero(roles == BusRole.PV)
     pq = np.flatnonzero(roles == BusRole.PQ)
     pvpq = np.concatenate([pv, pq])
-    slack = spec.slack_index
+    slack = int(np.flatnonzero(roles == BusRole.SLACK)[0])
 
     p, q = np.atleast_2d(spec.p), np.atleast_2d(spec.q)
     shape = p.shape
-    if start is None:
-        v = np.ones(shape)
-        delta = np.zeros(shape)
-    else:
-        v = np.array(np.broadcast_to(start[0], shape), dtype=float)
-        delta = np.array(np.broadcast_to(start[1], shape), dtype=float)
+    v0, delta0 = (1.0, 0.0) if start is None else start
+    v = np.array(np.broadcast_to(v0, shape), dtype=float)
+    delta = np.array(np.broadcast_to(delta0, shape), dtype=float)
     held = np.concatenate([[slack], pv])
     v[:, held] = np.broadcast_to(spec.v_setpoint, shape)[:, held]
     delta[:, slack] = 0.0
@@ -350,10 +343,7 @@ def solve_stack(
             delta[active] = delta_now
         iterations[active] += 1
     s_calc = _injections(v * np.exp(1j * delta), ybus)
-    p_calc, q_calc = s_calc.real, s_calc.imag
-    return PowerFlowSolution(
-        v, delta, p_calc, q_calc, iterations, max_mismatch, converged, p_calc[:, slack], q_calc[:, slack]
-    )
+    return PowerFlowSolution(v, delta, s_calc.real, s_calc.imag, iterations, max_mismatch, converged)
 
 
 def solve_power_flow(
@@ -364,7 +354,7 @@ def solve_power_flow(
     """Solve the AC power flow for one set of injections from a flat start:
     the one row of `solve_stack` on a stack of one, which carries the
     injections of the final state, with Python scalars for iterations,
-    max_mismatch, converged, p_slack and q_slack.
+    max_mismatch and converged.
 
     Returns converged=False (with the last usable state) when the residual
     norm is still above TOLERANCE after MAX_ITERATIONS, or when a Newton
@@ -372,8 +362,8 @@ def solve_power_flow(
     """
     if ybus is None:
         ybus = build_admittance(case)
-    if ybus.n != case.n or len(spec.roles) != case.n:
-        raise ValueError("case, injection spec and admittance matrix sizes disagree")
+    if len(spec.roles) != case.n:
+        raise ValueError("case and injection spec sizes disagree")
     if spec.p.ndim != 1:
         raise ValueError("solve_power_flow takes one injection set; solve_stack takes a stack")
     flows = solve_stack(spec, ybus)
@@ -388,6 +378,4 @@ def solve_power_flow(
         iterations=int(flows.iterations[0]),
         max_mismatch=float(flows.max_mismatch[0]),
         converged=bool(flows.converged[0]),
-        p_slack=float(flows.p_slack[0]),
-        q_slack=float(flows.q_slack[0]),
     )

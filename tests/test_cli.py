@@ -22,6 +22,7 @@ import pytest
 
 from conftest import child_env, compensated_case, two_bus_case
 from ropf.cli import build_parser, main
+from ropf.dispatch import baseline_loss
 from ropf.netmodel import CaseError, parse_case, serialize_case, validate_case
 
 FAST = ["--swarm-size", "8", "--iterations", "10", "--seed", "3"]
@@ -207,6 +208,23 @@ def test_powerflow_json_roundtrips(fixture_path, capsys):
     assert doc["config"]["command"] == "powerflow"
     assert doc["total_loss_pu"] == pytest.approx(0.07973114908135254, rel=1e-9)
     assert len(doc["bus_voltages_pu"]) == 14
+
+
+def test_powerflow_reports_the_slack_output_of_its_flow(fixture_case, fixture_path, capsys):
+    # The slack keys are the slack entries of the reference flow's
+    # injections, and so the balance: the loss plus the net demand of the
+    # other buses, within one residual of each.
+    assert main(["powerflow", str(fixture_path), "--output-format", "machine-readable"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    solution, _ = baseline_loss(fixture_case)
+    slack_id = fixture_case.slack_bus().id
+    slack = fixture_case.index_of(slack_id)
+    assert doc["slack_p_pu"] == float(solution.p_injected[slack])
+    assert doc["slack_q_pu"] == float(solution.q_injected[slack])
+    demand = sum(load.p for load in fixture_case.loads if load.bus != slack_id)
+    supply = sum(g.p_output for g in fixture_case.generators if g.bus != slack_id)
+    bound = (fixture_case.n - 1) * solution.max_mismatch
+    assert abs(doc["slack_p_pu"] - (doc["total_loss_pu"] + demand - supply)) <= bound
 
 
 def test_machine_readable_is_deterministic_modulo_timestamp(tmp_path, capsys):

@@ -85,8 +85,6 @@ def fake_solution(v):
         iterations=1,
         max_mismatch=0.0,
         converged=True,
-        p_slack=0.0,
-        q_slack=0.0,
     )
 
 
@@ -280,6 +278,27 @@ def test_generators_at_one_bus_share_its_output_evenly(fixture_case):
     split, shared_flows = dispatch._swarm_flows(compile_problem(shared), np.array([[1.02, 1.01, 0.1, 0.2]]))
     assert flows.converged[0] and np.array_equal(shared_flows.v, flows.v)
     assert split[0].tolist() == [alone[0, 0], alone[0, 1] / 2, alone[0, 1] / 2, 0.1, 0.2]
+
+
+def test_a_compensator_at_the_slack_bus_changes_no_flow(fixture_case):
+    # Its output adds to the slack's specified q, which the solver ignores,
+    # so rows and decisions that differ only in it give the same flow bit
+    # for bit.
+    assert fixture_case.slack_bus().id == 14
+    case = replace(fixture_case, compensators=fixture_case.compensators + (Compensator(14, 0.0, 0.3, 0.0354),))
+    problem = compile_problem(case)
+    points = np.repeat(box_points(problem, 1, seed=5), 2, axis=0)
+    points[:, -1] = [0.0, 0.3]
+    outputs, flows = dispatch._swarm_flows(problem, points)
+    assert np.all(flows.converged)
+    for name in ("v", "delta", "q_injected"):
+        row, other = getattr(flows, name)
+        assert row.tobytes() == other.tobytes()
+    low, high = (
+        solve_power_flow(case, build_injections(case, DecisionVector.from_array(case, x))) for x in outputs
+    )
+    assert low.converged and high.converged
+    assert low.v.tobytes() == high.v.tobytes() and low.delta.tobytes() == high.delta.tobytes()
 
 
 def pin_compensator(case: NetworkCase, bus: int, q: float) -> NetworkCase:

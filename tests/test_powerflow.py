@@ -28,6 +28,7 @@ from ropf.powerflow import (
     TOLERANCE,
     BusRole,
     InjectionSpec,
+    PowerFlowSolution,
     compute_mismatch,
     mismatch_jacobian,
     solve_power_flow,
@@ -68,7 +69,7 @@ def branch_loss_sum(case, solution):
     return total
 
 
-INJECTION_FIELDS = ("p_injected", "q_injected", "p_slack", "q_slack")
+INJECTION_FIELDS = ("p_injected", "q_injected")
 
 
 def bits(x):
@@ -171,9 +172,7 @@ def test_resistive_loss_cross_check():
 def test_slack_absorbs_balance():
     case, solution = two_bus_solution(p_load=0.3, reactance=0.1, resistance=0.01, q_load=0.1)
     slack = 1
-    assert solution.p_slack == pytest.approx(solution.p_injected[slack], abs=1e-12)
-    assert solution.q_slack == pytest.approx(solution.q_injected[slack], abs=1e-12)
-    assert solution.p_slack == pytest.approx(0.3 + total_losses(solution, case), abs=1e-8)
+    assert solution.p_injected[slack] == pytest.approx(0.3 + total_losses(solution, case), abs=1e-8)
 
 
 def test_pv_bus_holds_magnitude():
@@ -310,25 +309,32 @@ def test_converging_box_flows_need_no_more_than_the_quick_cap(fixture_case, unit
     assert np.max(flows.iterations[flows.converged]) <= 15
 
 
-def test_stack_with_per_member_setpoints_equals_lone_solves(fixture_case):
-    # The reference flow's roles with each member's own slack and generator
-    # voltage setpoints and compensator outputs; every member of the stack
-    # ends at the bits of its lone solve.
-    base = build_injections(fixture_case)
+def per_member_stack(case):
+    """The reference flow's roles with 40 members, each with its own slack
+    and generator voltage setpoints and compensator outputs."""
+    base = build_injections(case)
     held = np.flatnonzero(base.roles != PQ)
-    comps = [fixture_case.index_of(c.bus) for c in fixture_case.compensators]
+    comps = [case.index_of(c.bus) for c in case.compensators]
     rng = np.random.default_rng(41)
     v_set = np.repeat(base.v_setpoint[None, :], 40, axis=0)
     v_set[:, held] = rng.uniform(0.9, 1.1, size=(40, held.size))
     q = np.repeat(base.q[None, :], 40, axis=0)
     q[:, comps] += rng.uniform(0.0, 0.3, size=(40, len(comps)))
     p = np.repeat(base.p[None, :], 40, axis=0)
+    return InjectionSpec(p, q, base.roles, v_set)
+
+
+def test_stack_with_per_member_setpoints_equals_lone_solves(fixture_case):
+    # Every member of the stack ends at the bits of its lone solve.
+    spec = per_member_stack(fixture_case)
+    p, q, v_set = spec.p, spec.q, spec.v_setpoint
+    held = np.flatnonzero(spec.roles != PQ)
     ybus = build_admittance(fixture_case)
-    flows = solve_stack(InjectionSpec(p, q, base.roles, v_set), ybus)
+    flows = solve_stack(spec, ybus)
     assert np.all(flows.converged)
     assert np.array_equal(flows.v[:, held], v_set[:, held])
     for k in range(40):
-        alone = solve_power_flow(fixture_case, InjectionSpec(p[k], q[k], base.roles, v_set[k]), ybus)
+        alone = solve_power_flow(fixture_case, InjectionSpec(p[k], q[k], spec.roles, v_set[k]), ybus)
         assert alone.converged == flows.converged[k]
         assert alone.iterations == flows.iterations[k]
         assert alone.max_mismatch == flows.max_mismatch[k]
@@ -336,6 +342,14 @@ def test_stack_with_per_member_setpoints_equals_lone_solves(fixture_case):
         assert np.array_equal(alone.delta, flows.delta[k])
         for name in INJECTION_FIELDS:
             assert bits(getattr(alone, name)) == bits(getattr(flows, name)[k])
+
+
+def test_stack_without_a_start_starts_flat(fixture_case):
+    spec = per_member_stack(fixture_case)
+    ybus = build_admittance(fixture_case)
+    default, flat = solve_stack(spec, ybus), solve_stack(spec, ybus, (1.0, 0.0))
+    for field in dataclasses.fields(PowerFlowSolution):
+        assert bits(getattr(default, field.name)) == bits(getattr(flat, field.name))
 
 
 def test_total_losses_builds_no_admittance_matrix(fixture_case, monkeypatch):
