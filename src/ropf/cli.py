@@ -5,6 +5,8 @@ Commands: validate, powerflow, ropf, pricing. Exit codes: 0 success,
 3 power flow or dispatch did not reach a feasible answer. With
 --output-format machine-readable the output is JSON that is byte-identical
 across runs with the same arguments except for the timestamp field.
+Both layouts are written here, from a run's report, the parsed case and
+the parsed arguments.
 """
 
 from __future__ import annotations
@@ -16,14 +18,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .dispatch import (
-    DispatchError,
-    baseline_loss,
-    render_text,
-    report_to_dict,
-    run_pricing,
-    run_ropf,
-)
+from .dispatch import DispatchError, Payments, RopfReport, baseline_loss, run_pricing, run_ropf
 from .netmodel import CaseError, NetworkCase, parse_case
 from .pso import PsoParams
 
@@ -111,10 +106,7 @@ def _cmd_powerflow(args: argparse.Namespace) -> int:
     case = _load_case(args.case_path)
     solution, loss = baseline_loss(case)
     slack = case.index_of(case.slack_bus().id)
-    body = {
-        "bus_ids": [b.id for b in case.buses],
-        "bus_voltages_pu": [float(x) for x in solution.v],
-        "bus_angles_rad": [float(x) for x in solution.delta],
+    body = _buses(case, solution.v, solution.delta) | {
         "iterations": solution.iterations,
         "total_loss_pu": loss,
         "slack_p_pu": float(solution.p_injected[slack]),
@@ -129,18 +121,83 @@ def _cmd_powerflow(args: argparse.Namespace) -> int:
     return OK
 
 
-def _cmd_ropf(args: argparse.Namespace) -> int:
+def _cmd_dispatch(args: argparse.Namespace) -> int:
+    """`ropf` runs one dispatch; `pricing` adds the settlement."""
     case = _load_case(args.case_path)
-    report = run_ropf(case, _search(args))
-    _emit(args, report_to_dict(report), render_text(report))
+    params = _search(args)
+    if args.command == "pricing":
+        report, payments = run_pricing(case, params)
+    else:
+        report, payments = run_ropf(case, params), None
+    _emit(args, _report_to_dict(report, case, payments), _render_text(report, params, payments))
     return OK if report.feasible else EXIT_NO_CONVERGENCE
 
 
-def _cmd_pricing(args: argparse.Namespace) -> int:
-    case = _load_case(args.case_path)
-    report, payments = run_pricing(case, _search(args))
-    _emit(args, report_to_dict(report, payments), render_text(report, payments))
-    return OK if report.feasible else EXIT_NO_CONVERGENCE
+def _buses(case: NetworkCase, v, delta) -> dict:
+    """The bus keys of every solving command's JSON, in case bus order."""
+    return {
+        "bus_ids": [b.id for b in case.buses],
+        "bus_voltages_pu": [float(x) for x in v],
+        "bus_angles_rad": [float(x) for x in delta],
+    }
+
+
+def _report_to_dict(report: RopfReport, case: NetworkCase, payments: Payments | None = None) -> dict:
+    """JSON-ready view of a dispatch report (plain lists and floats only)."""
+    sources = zip(
+        report.source_kinds, report.source_buses, report.var_requirements, report.cost_per_source
+    )
+    doc: dict = {
+        "sources": [{"kind": k, "bus": b, "q_pu": q, "cost_per_h": c} for k, b, q, c in sources],
+        "loss_before_pu": report.loss_before,
+        "loss_after_pu": report.loss_after,
+        "total_payment_per_h": report.total_payment,
+        "feasible": report.feasible,
+        "converged": report.converged,
+        "gbest_fitness": report.gbest_fitness,
+        "convergence_history": list(report.convergence_history),
+        "seed": report.seed,
+        **_buses(case, report.bus_voltages, report.bus_angles),
+        "duty_cost_per_h": payments and payments.duty_cost,
+        "load_allocated_per_h": payments and payments.load_allocated,
+    }
+    if payments is not None:
+        doc["payments"] = {
+            "generators": list(payments.generator_payments),
+            "compensators": list(payments.compensator_payments),
+            "duty_shares": list(payments.duty_shares),
+            "total_per_h": payments.total,
+        }
+    return doc
+
+
+def _render_text(report: RopfReport, params: PsoParams, payments: Payments | None = None) -> str:
+    """Human-readable report: search settings, source table, losses, payment lines."""
+    out: list[str] = []
+    out.append("reactive support dispatch")
+    out.append(f"seed {params.seed}  swarm {params.swarm_size}  iterations {params.max_iterations}")
+    out.append("")
+    out.append(f"{'source':<14}{'bus':>5}{'Q (p.u.)':>12}{'cost ($/h)':>14}")
+    for kind, bus, q, cost in zip(
+        report.source_kinds, report.source_buses, report.var_requirements, report.cost_per_source
+    ):
+        out.append(f"{kind:<14}{bus:>5}{q:>12.4f}{cost:>14.4f}")
+    out.append("")
+    out.append(f"power loss before compensation  {report.loss_before:.6f} p.u.")
+    out.append(f"power loss after compensation   {report.loss_after:.6f} p.u.")
+    out.append(f"payment to generators and compensators  {report.total_payment:.4f} $/h")
+    out.append(f"feasible: {'yes' if report.feasible else 'NO'}")
+    if payments is not None:
+        out.append("")
+        out.append(f"duty cost (unity power factor)  {payments.duty_cost:.4f} $/h")
+        out.append(f"cost allocated to reactive loads  {payments.load_allocated:.4f} $/h")
+        out.append("")
+        out.append("settled payments ($/h)")
+        paid = payments.generator_payments + payments.compensator_payments
+        for kind, bus, pay in zip(report.source_kinds, report.source_buses, paid):
+            out.append(f"  {kind} bus {bus:<4} {pay:>10.4f}")
+        out.append(f"  total {payments.total:>10.4f}")
+    return "\n".join(out) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -148,8 +205,8 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "validate": _cmd_validate,
         "powerflow": _cmd_powerflow,
-        "ropf": _cmd_ropf,
-        "pricing": _cmd_pricing,
+        "ropf": _cmd_dispatch,
+        "pricing": _cmd_dispatch,
     }
     try:
         return handlers[args.command](args)

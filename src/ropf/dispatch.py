@@ -50,8 +50,6 @@ __all__ = [
     "compile_problem",
     "decision_bounds",
     "evaluate_fitness",
-    "report_to_dict",
-    "render_text",
     "run_pricing",
     "run_ropf",
     "swarm_fitness",
@@ -114,7 +112,8 @@ class Payments:
 
 @dataclass(frozen=True)
 class RopfReport:
-    """Outcome of one dispatch run, source-aligned tuples throughout."""
+    """Outcome of one dispatch run. The source tuples are in decision order;
+    bus_voltages and bus_angles are in the case's bus order."""
 
     source_kinds: tuple[str, ...]
     source_buses: tuple[int, ...]
@@ -128,8 +127,6 @@ class RopfReport:
     gbest_fitness: float
     convergence_history: tuple[float, ...]
     seed: int
-    params: PsoParams
-    bus_ids: tuple[int, ...]
     bus_voltages: tuple[float, ...]
     bus_angles: tuple[float, ...]
 
@@ -420,8 +417,6 @@ def run_ropf(case: NetworkCase, params: PsoParams | None = None) -> RopfReport:
         gbest_fitness=result.fitness,
         convergence_history=result.history,
         seed=params.seed,
-        params=params,
-        bus_ids=tuple(b.id for b in case.buses),
         bus_voltages=tuple(float(x) for x in solution.v),
         bus_angles=tuple(float(x) for x in solution.delta),
     )
@@ -485,75 +480,3 @@ def run_pricing(case: NetworkCase, params: PsoParams | None = None) -> tuple[Rop
     duty_report = run_ropf(unity_power_factor_case(case), params)
     return report, allocate_payments(report, duty_report)
 
-
-def report_to_dict(report: RopfReport, payments: Payments | None = None) -> dict:
-    """JSON-ready view of a report (plain lists and floats only)."""
-    doc: dict = {
-        "sources": [
-            {
-                "kind": kind,
-                "bus": bus,
-                "q_pu": q,
-                "cost_per_h": cost,
-            }
-            for kind, bus, q, cost in zip(
-                report.source_kinds,
-                report.source_buses,
-                report.var_requirements,
-                report.cost_per_source,
-            )
-        ],
-        "loss_before_pu": report.loss_before,
-        "loss_after_pu": report.loss_after,
-        "total_payment_per_h": report.total_payment,
-        "feasible": report.feasible,
-        "converged": report.converged,
-        "gbest_fitness": report.gbest_fitness,
-        "convergence_history": list(report.convergence_history),
-        "seed": report.seed,
-        "bus_ids": list(report.bus_ids),
-        "bus_voltages_pu": list(report.bus_voltages),
-        "bus_angles_rad": list(report.bus_angles),
-        "duty_cost_per_h": payments and payments.duty_cost,
-        "load_allocated_per_h": payments and payments.load_allocated,
-    }
-    if payments is not None:
-        doc["payments"] = {
-            "generators": list(payments.generator_payments),
-            "compensators": list(payments.compensator_payments),
-            "duty_shares": list(payments.duty_shares),
-            "total_per_h": payments.total,
-        }
-    return doc
-
-
-def render_text(report: RopfReport, payments: Payments | None = None) -> str:
-    """Human-readable report: source table, losses, payment lines."""
-    out: list[str] = []
-    out.append("reactive support dispatch")
-    out.append(
-        f"seed {report.seed}  swarm {report.params.swarm_size}  "
-        f"iterations {report.params.max_iterations}"
-    )
-    out.append("")
-    out.append(f"{'source':<14}{'bus':>5}{'Q (p.u.)':>12}{'cost ($/h)':>14}")
-    for kind, bus, q, cost in zip(
-        report.source_kinds, report.source_buses, report.var_requirements, report.cost_per_source
-    ):
-        out.append(f"{kind:<14}{bus:>5}{q:>12.4f}{cost:>14.4f}")
-    out.append("")
-    out.append(f"power loss before compensation  {report.loss_before:.6f} p.u.")
-    out.append(f"power loss after compensation   {report.loss_after:.6f} p.u.")
-    out.append(f"payment to generators and compensators  {report.total_payment:.4f} $/h")
-    out.append(f"feasible: {'yes' if report.feasible else 'NO'}")
-    if payments is not None:
-        out.append("")
-        out.append(f"duty cost (unity power factor)  {payments.duty_cost:.4f} $/h")
-        out.append(f"cost allocated to reactive loads  {payments.load_allocated:.4f} $/h")
-        out.append("")
-        out.append("settled payments ($/h)")
-        paid = payments.generator_payments + payments.compensator_payments
-        for kind, bus, pay in zip(report.source_kinds, report.source_buses, paid):
-            out.append(f"  {kind} bus {bus:<4} {pay:>10.4f}")
-        out.append(f"  total {payments.total:>10.4f}")
-    return "\n".join(out) + "\n"

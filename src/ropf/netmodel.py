@@ -400,7 +400,7 @@ def validate_case(case: NetworkCase) -> list[str]:
     exactly one slack, sane voltage bands, branch endpoints that exist and
     differ, nonzero branch impedance, positive taps, finite Ybus terms,
     source limits ordered and within capability, referenced buses present,
-    and a connected network.
+    no compensator at the slack bus, and a connected network.
     """
     bad: list[str] = []
     records = (
@@ -486,6 +486,8 @@ def validate_case(case: NetworkCase) -> list[str]:
         label = f"compensator at bus {c.bus}"
         if c.bus not in seen:
             bad.append(f"{label}: unknown bus {c.bus}")
+        elif c.bus in slack_ids:
+            bad.append(f"{label}: the slack bus absorbs its output, so it changes no flow")
         if not (0.0 <= c.q_min <= c.q_max):
             bad.append(f"{label}: limits [{c.q_min}, {c.q_max}] must satisfy 0 <= q_min <= q_max")
         if c.rate < 0:

@@ -20,10 +20,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import child_env, compensated_case, two_bus_case
-from ropf.cli import build_parser, main
-from ropf.dispatch import baseline_loss
+from conftest import child_env, compensated_case, three_bus_case, two_bus_case
+from test_dispatch import mk_report
+from ropf.cli import _render_text, _report_to_dict, build_parser, main
+from ropf.dispatch import allocate_payments, baseline_loss
 from ropf.netmodel import CaseError, parse_case, serialize_case, validate_case
+from ropf.pso import PsoParams
 
 FAST = ["--swarm-size", "8", "--iterations", "10", "--seed", "3"]
 
@@ -115,6 +117,7 @@ VALID_CASE = """\
         ("2 3 0.0", "2 9 0.0", "branch 2-9: unknown bus 9"),
         ("1 0.2 0.5", "9 0.2 0.5", "generator at bus 9: unknown bus 9"),
         ("2 0.0 0.2", "9 0.0 0.2", "compensator at bus 9: unknown bus 9"),
+        ("2 0.0 0.2", "3 0.0 0.2", "compensator at bus 3: the slack bus"),
         ("2 0.1 0.02", "9 0.1 0.02", "load at bus 9: unknown bus 9"),
         ("100.0", "0", "base MVA must be positive"),
         ("[BUS]\n1 generator\n2 compensator\n3 slack\n", "", "case has no buses"),
@@ -122,8 +125,8 @@ VALID_CASE = """\
     ],
     ids=[
         "duplicate-bus-id", "duplicate-slack", "unknown-kind", "branch-bus", "transformer-bus",
-        "generator-bus", "compensator-bus", "load-bus", "base-mva", "no-bus-section",
-        "nonpositive-id",
+        "generator-bus", "compensator-bus", "compensator-slack", "load-bus", "base-mva",
+        "no-bus-section", "nonpositive-id",
     ],
 )
 def test_case_file_defects_are_violations(tmp_path, capsys, old, new, message):
@@ -227,9 +230,10 @@ def test_powerflow_reports_the_slack_output_of_its_flow(fixture_case, fixture_pa
     assert abs(doc["slack_p_pu"] - (doc["total_loss_pu"] + demand - supply)) <= bound
 
 
-def test_machine_readable_is_deterministic_modulo_timestamp(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["ropf", "pricing"])
+def test_machine_readable_is_deterministic_modulo_timestamp(command, tmp_path, capsys):
     path = write_case(tmp_path, compensated_case())
-    argv = ["ropf", path, "--output-format", "machine-readable", *FAST]
+    argv = [command, path, "--output-format", "machine-readable", *FAST]
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert main(argv) == 0
@@ -252,6 +256,8 @@ def test_ropf_fixture_flags_infeasible_run(fixture_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["feasible"] is False
     assert doc["loss_after_pu"] > 0
+    assert main(["powerflow", str(fixture_path), "--output-format", "machine-readable"]) == 0
+    assert doc["bus_ids"] == json.loads(capsys.readouterr().out)["bus_ids"]
 
 
 def test_infeasible_pricing_run_writes_nothing_to_stderr(fixture_path):
@@ -301,17 +307,39 @@ def test_pricing_emits_settlement(tmp_path, capsys):
 
 def test_search_flags_are_echoed_in_config(tmp_path, capsys):
     path = write_case(tmp_path, compensated_case())
-    argv = [
-        "ropf", path, "--seed", "9", "--swarm-size", "7", "--iterations", "6",
-        "--output-format", "machine-readable",
-    ]
-    code = main(argv)
+    flags = ["--seed", "9", "--swarm-size", "7", "--iterations", "6"]
+    code = main(["ropf", path, *flags, "--output-format", "machine-readable"])
     assert code in (0, 3)
     doc = json.loads(capsys.readouterr().out)
     config = doc["config"]
     assert config["seed"] == 9
     assert config["swarm_size"] == 7
     assert config["iterations"] == 6
+    # The text header echoes the same settings, for one run and for the settlement.
+    for command in ("ropf", "pricing"):
+        assert main([command, path, *flags]) in (0, 3)
+        assert "\nseed 9  swarm 7  iterations 6\n" in capsys.readouterr().out
+
+
+def test_report_to_dict_is_json_ready():
+    report = mk_report(("generator", "compensator"), (1, 3), (3.0, 2.0))
+    duty = mk_report(("generator", "compensator"), (1, 3), (1.0, 0.0))
+    doc = _report_to_dict(report, three_bus_case(), allocate_payments(report, duty))
+    text = json.dumps(doc)
+    parsed = json.loads(text)
+    assert parsed["total_payment_per_h"] == pytest.approx(5.0)
+    assert len(parsed["sources"]) == 2
+    assert "payments" in parsed
+
+
+def test_render_text_mentions_the_essentials():
+    report = mk_report(("generator", "compensator"), (1, 3), (3.0, 2.0))
+    duty = mk_report(("generator", "compensator"), (1, 3), (1.0, 0.0))
+    text = _render_text(report, PsoParams(), allocate_payments(report, duty))
+    for needle in ("generator", "compensator", "loss", "feasible", "total"):
+        assert needle in text.lower()
+    # one payment line per source, in source order
+    assert "\n  generator bus 1        2.0000\n  compensator bus 3        2.0000\n" in text
 
 
 @pytest.mark.parametrize("command", ["validate", "powerflow"])

@@ -11,7 +11,6 @@ balance by the clipped amount, which the clipped-case test tracks exactly.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -39,8 +38,6 @@ from ropf.dispatch import (
     compile_problem,
     decision_bounds,
     evaluate_fitness,
-    render_text,
-    report_to_dict,
     run_pricing,
     run_ropf,
     swarm_fitness,
@@ -65,8 +62,6 @@ def mk_report(kinds, buses, costs, **overrides):
         gbest_fitness=float(sum(costs)),
         convergence_history=(float(sum(costs)),),
         seed=1,
-        params=PsoParams(),
-        bus_ids=(1, 2, 3),
         bus_voltages=(1.0, 1.0, 1.0),
         bus_angles=(0.0, 0.0, 0.0),
     )
@@ -567,23 +562,3 @@ def test_run_pricing_settles_and_annotates():
     ]
     assert payments.compensator_payments == pytest.approx(tuple(comp_costs))
 
-
-def test_report_to_dict_is_json_ready():
-    report = mk_report(("generator", "compensator"), (1, 3), (3.0, 2.0))
-    duty = mk_report(("generator", "compensator"), (1, 3), (1.0, 0.0))
-    doc = report_to_dict(report, allocate_payments(report, duty))
-    text = json.dumps(doc)
-    parsed = json.loads(text)
-    assert parsed["total_payment_per_h"] == pytest.approx(5.0)
-    assert len(parsed["sources"]) == 2
-    assert "payments" in parsed
-
-
-def test_render_text_mentions_the_essentials():
-    report = mk_report(("generator", "compensator"), (1, 3), (3.0, 2.0))
-    duty = mk_report(("generator", "compensator"), (1, 3), (1.0, 0.0))
-    text = render_text(report, allocate_payments(report, duty))
-    for needle in ("generator", "compensator", "loss", "feasible", "total"):
-        assert needle in text.lower()
-    # one payment line per source, in source order
-    assert "\n  generator bus 1        2.0000\n  compensator bus 3        2.0000\n" in text
