@@ -379,7 +379,7 @@ def baseline_loss(
     return solution, total_losses(solution, case)
 
 
-def run_ropf(case: NetworkCase, params: PsoParams | None = None) -> RopfReport:
+def run_ropf(case: NetworkCase, params: PsoParams) -> RopfReport:
     """Minimize the total reactive support cost subject to the power flow.
 
     The swarm searches generator voltage setpoints and compensator outputs
@@ -389,7 +389,6 @@ def run_ropf(case: NetworkCase, params: PsoParams | None = None) -> RopfReport:
     reference flow's loss; DispatchError if that flow did not converge.
     The run writes nothing: every fact it finds is in the report.
     """
-    params = params or PsoParams()
     problem = compile_problem(case)
     ybus = problem.ybus
 
@@ -430,34 +429,31 @@ def unity_power_factor_case(case: NetworkCase) -> NetworkCase:
 def allocate_payments(report: RopfReport, duty: RopfReport) -> Payments:
     """Split the run's costs into payments, given the unity-power-factor run.
 
+    Both reports list their sources in decision order, generators first,
+    and the duty run must list the run's sources (ValueError otherwise).
     Loads owe the cost beyond the duty cost, the duty run's total payment
     (floored at zero). The duty cost is charged back to the generators,
     split in proportion to their costs in the duty run (equally when those
     are all zero). Each generator receives its incurred cost minus its duty
     share, floored at zero; compensators receive their full cost.
     """
-    gen_idx = [k for k, kind in enumerate(report.source_kinds) if kind == "generator"]
-    comp_idx = [k for k, kind in enumerate(report.source_kinds) if kind == "compensator"]
-    incurred = [report.cost_per_source[k] for k in gen_idx]
-
+    if (duty.source_kinds, duty.source_buses) != (report.source_kinds, report.source_buses):
+        raise ValueError("duty report does not match the run's generator set and compensators")
     cg = duty.total_payment
-    weights = [duty.cost_per_source[k] for k, kind in enumerate(duty.source_kinds) if kind == "generator"]
-    if len(weights) != len(gen_idx):
-        raise ValueError("duty report does not match the run's generator set")
     if cg < 0:
         raise ValueError(f"duty cost must be nonnegative, got {cg}")
 
-    if not gen_idx or cg == 0.0:
-        shares = [0.0] * len(gen_idx)
+    n_gen = report.source_kinds.count("generator")
+    weights = duty.cost_per_source[:n_gen]
+    total_weight = sum(weights)
+    if total_weight > 0:
+        shares = [cg * w / total_weight for w in weights]
     else:
-        total_weight = sum(weights)
-        if total_weight > 0:
-            shares = [cg * w / total_weight for w in weights]
-        else:
-            shares = [cg / len(gen_idx)] * len(gen_idx)
+        shares = [cg / n_gen] * n_gen if n_gen else []
 
+    incurred = report.cost_per_source[:n_gen]
     gen_payments = tuple(max(0.0, inc - share) for inc, share in zip(incurred, shares))
-    comp_payments = tuple(report.cost_per_source[k] for k in comp_idx)
+    comp_payments = report.cost_per_source[n_gen:]
     load_allocated = max(0.0, report.total_payment - cg)
     return Payments(
         generator_payments=gen_payments,
@@ -469,7 +465,7 @@ def allocate_payments(report: RopfReport, duty: RopfReport) -> Payments:
     )
 
 
-def run_pricing(case: NetworkCase, params: PsoParams | None = None) -> tuple[RopfReport, Payments]:
+def run_pricing(case: NetworkCase, params: PsoParams) -> tuple[RopfReport, Payments]:
     """Full settlement: dispatch run, unity-power-factor run, allocation.
 
     The duty cost is the optimal total cost when all loads run at unity

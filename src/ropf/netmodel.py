@@ -167,9 +167,6 @@ class NetworkCase:
         except KeyError:
             raise CaseError(f"unknown bus {bus_id}") from None
 
-    def bus(self, bus_id: int) -> Bus:
-        return self.buses[self.index_of(bus_id)]
-
     def slack_bus(self) -> Bus:
         slacks = [b for b in self.buses if b.kind == "slack"]
         if len(slacks) != 1:
@@ -400,7 +397,8 @@ def validate_case(case: NetworkCase) -> list[str]:
     exactly one slack, sane voltage bands, branch endpoints that exist and
     differ, nonzero branch impedance, positive taps, finite Ybus terms,
     source limits ordered and within capability, referenced buses present,
-    no compensator at the slack bus, and a connected network.
+    no compensator at the slack bus, and a connected network. A non-finite
+    number is reported once, as itself.
     """
     bad: list[str] = []
     records = (
@@ -434,7 +432,7 @@ def validate_case(case: NetworkCase) -> list[str]:
             bad.append(f"bus {bus.id}: unknown kind {bus.kind!r}")
         if bus.kind == "slack":
             slack_ids.append(bus.id)
-        if not (0.0 < bus.v_min < bus.v_max):
+        if not (0.0 < bus.v_min < bus.v_max) and all(map(math.isfinite, (bus.v_min, bus.v_max))):
             bad.append(f"bus {bus.id}: voltage band [{bus.v_min}, {bus.v_max}] is not ordered")
     if not case.buses:
         bad.append("case has no buses")
@@ -488,7 +486,7 @@ def validate_case(case: NetworkCase) -> list[str]:
             bad.append(f"{label}: unknown bus {c.bus}")
         elif c.bus in slack_ids:
             bad.append(f"{label}: the slack bus absorbs its output, so it changes no flow")
-        if not (0.0 <= c.q_min <= c.q_max):
+        if not (0.0 <= c.q_min <= c.q_max) and all(map(math.isfinite, (c.q_min, c.q_max))):
             bad.append(f"{label}: limits [{c.q_min}, {c.q_max}] must satisfy 0 <= q_min <= q_max")
         if c.rate < 0:
             bad.append(f"{label}: rate must be nonnegative")

@@ -2,10 +2,11 @@
 
 Payment arithmetic is pinned with hand-sized numbers. The exact bookkeeping
 is: each generator is paid max(0, incurred - duty share), compensators are
-paid in full, and loads owe max(0, total - duty cost). When no duty share
-exceeds its generator's incurred cost, payments + load charge equal the
-run total plus the compensator subtotal; each floored share shifts that
-balance by the clipped amount, which the clipped-case test tracks exactly.
+paid in full, and loads owe max(0, total - duty cost). When no floor binds,
+payments + load charge equal the run total plus the compensator subtotal.
+That sum is arithmetic, not a ledger: it does not equate what sources
+receive with what anyone is charged. Each floored share shifts it by the
+clipped amount, which the clipped-case test tracks exactly.
 """
 
 from __future__ import annotations
@@ -491,7 +492,8 @@ def test_allocate_payments_proportional_no_clipping():
     assert payments.compensator_payments == pytest.approx((2.0,))
     assert payments.load_allocated == pytest.approx(4.0)
     assert payments.total == pytest.approx(4.0)
-    # balance: payments + load charge = run total + compensator subtotal
+    # No floor binds, so payments + load charge = run total + compensator
+    # subtotal. This is arithmetic, not a ledger of receipts and charges.
     assert payments.total + payments.load_allocated == pytest.approx(
         report.total_payment + 2.0, abs=1e-12
     )
@@ -547,6 +549,8 @@ def test_allocate_payments_validates_inputs():
         allocate_payments(report, mk_report(("generator",) * 2, (1, 2), (1.0, 1.0), total_payment=-1.0))
     with pytest.raises(ValueError, match="generator set"):
         allocate_payments(report, mk_report(("generator",), (1,), (1.0,)))
+    with pytest.raises(ValueError, match="generator set"):
+        allocate_payments(report, mk_report(("generator", "generator", "compensator"), (1, 2, 3), (1.0, 1.0, 0.0)))
 
 
 def test_run_pricing_settles_and_annotates():

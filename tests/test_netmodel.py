@@ -67,8 +67,9 @@ def test_fixture_validates_clean(fixture_case):
 def test_parse_minimal_case():
     case = parse_case(MINIMAL_CASE)
     assert case.n == 2
-    assert case.bus(1).kind == "load"
-    assert case.bus(1).v_min == 0.95 and case.bus(1).v_max == 1.05
+    bus = case.buses[case.index_of(1)]
+    assert bus.kind == "load"
+    assert bus.v_min == 0.95 and bus.v_max == 1.05
     assert case.slack_bus().id == 2
     assert case.loads == (Load(1, 0.5, 0.0),)
 
@@ -76,7 +77,8 @@ def test_parse_minimal_case():
 def test_parse_explicit_voltage_band():
     text = MINIMAL_CASE.replace("1 load", "1 load 0.9 1.1")
     case = parse_case(text)
-    assert case.bus(1).v_min == 0.9 and case.bus(1).v_max == 1.1
+    bus = case.buses[case.index_of(1)]
+    assert bus.v_min == 0.9 and bus.v_max == 1.1
 
 
 def test_parse_rejects_duplicate_slack():
@@ -282,6 +284,21 @@ def test_validator_rejects_zero_impedance_branch():
         assert [p for p in validate_case(case) if "branch 1-2" in p] == [f"branch 1-2: {message}"]
 
 
+def test_validator_reports_a_non_finite_bound_once():
+    # A NaN bound fails every comparison, so the band and limit ordering
+    # checks would report it a second time.
+    case = NetworkCase(
+        base_mva=100.0,
+        buses=(Bus(1, "load", v_min=math.nan), Bus(2, "slack")),
+        branches=(Branch(1, 2, 0.0, 0.1),),
+        compensators=(Compensator(1, 0.0, math.nan, 0.0354),),
+        loads=(Load(1, 0.1, 0.0),),
+    )
+    problems = validate_case(case)
+    assert [p for p in problems if p.startswith("bus 1:")] == ["bus 1: v_min must be finite, got nan"]
+    assert [p for p in problems if p.startswith("compensator")] == ["compensator at bus 1: q_max must be finite, got nan"]
+
+
 def test_admittance_single_line():
     ybus = build_admittance(two_bus_case(reactance=0.1))
     expect = np.array([[-10j, 10j], [10j, -10j]])
@@ -411,4 +428,4 @@ def test_cost_quadratic_evaluates():
 
 def test_bus_lookup_errors(fixture_case):
     with pytest.raises(CaseError, match="99"):
-        fixture_case.bus(99)
+        fixture_case.index_of(99)
