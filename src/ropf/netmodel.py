@@ -199,7 +199,11 @@ class AdmittanceMatrix:
     @cached_property
     def _jacobian_layouts(self) -> dict:
         """powerflow's memo of where the pattern's entries go in the Newton
-        Jacobian, one entry per bus ordering (pvpq, pq) in use."""
+        Jacobian, one entry per bus ordering (pvpq, pq) in use, and beside
+        it the Newton solve's block order for that ordering. A solve splits
+        into blocks of breadth-first levels when there are at least
+        powerflow.MIN_BLOCKS of at least powerflow.MIN_BLOCK unknowns each;
+        otherwise it is one block, which is the dense solve."""
         return {}
 
 

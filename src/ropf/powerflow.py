@@ -21,11 +21,20 @@ entries. `solve_power_flow` is that loop run from flat on a stack of
 one, and `total_losses` sums a solution's own injections and checks them
 against the case's branch records. Every member's arithmetic is the one
 a lone solve does (one matrix-vector product per member, elementwise
-Jacobian terms, one LAPACK solve per member), so a member's result does
-not depend on the rest of its stack. The Jacobian's terms are formed
-only at Ybus's nonzeros and its diagonal (1.8% of the entries at 224
-buses), and scattered into a dense matrix that one solve allocates once
-and refills at every step; the linear solve is dense.
+Jacobian terms, LAPACK solves and matrix products per member), so a
+member's result does not depend on the rest of its stack. The Jacobian's
+terms are formed only at Ybus's nonzeros and its diagonal (1.8% of the
+entries at 224 buses), and scattered into a dense matrix that one solve
+allocates once and refills at every step.
+
+The Newton step is solved block by block. Ordered by the breadth-first
+levels of Ybus's pattern from the slack bus (Cuthill & McKee, 1969), the
+unknowns of a branch's two ends lie in one level or in adjacent ones, so
+the Jacobian is block-tridiagonal over runs of consecutive levels and
+factors without fill-in outside its blocks. The runs hold at least
+MIN_BLOCK unknowns each; a network with fewer than MIN_BLOCKS of them
+(the bundled 14-bus case, and tilings of it up to 56 buses) stays one
+block in natural order, which is a plain dense solve.
 """
 
 from __future__ import annotations
@@ -52,6 +61,14 @@ __all__ = [
 # up after MAX_ITERATIONS Newton steps.
 TOLERANCE = 1e-6
 MAX_ITERATIONS = 50
+
+# The Newton step splits into level blocks of at least MIN_BLOCK unknowns
+# when there are at least MIN_BLOCKS of them. With fewer, the numpy calls
+# of each block cost more than the dense LU they save: on tilings of the
+# bundled case, a one-member split solve lost at 74 and 99 unknowns and won
+# from 149 up (one BLAS thread on a 2-vCPU Xeon host).
+MIN_BLOCK = 24
+MIN_BLOCKS = 4
 
 
 class BusRole(IntEnum):
@@ -175,6 +192,68 @@ def _jacobian_layout(ybus: AdmittanceMatrix, pvpq: np.ndarray, pq: np.ndarray) -
     return layout
 
 
+def _bfs_levels(ybus: AdmittanceMatrix, root: int) -> np.ndarray:
+    """Each bus's breadth-first distance from root over Ybus's pattern;
+    buses root does not reach come one level after the farthest."""
+    rows, cols = ybus._pattern[:2]
+    n = len(ybus.matrix)
+    start = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    neighbours = cols.tolist()
+    level = [-1] * n
+    level[root] = 0
+    frontier, depth = [root], 0
+    while frontier:
+        depth += 1
+        reached = []
+        for i in frontier:
+            for j in neighbours[start[i] : start[i + 1]]:
+                if level[j] < 0:
+                    level[j] = depth
+                    reached.append(j)
+        frontier = reached
+    level = np.array(level)
+    level[level < 0] = depth
+    return level
+
+
+def _block_layout(ybus: AdmittanceMatrix, pvpq: np.ndarray, pq: np.ndarray) -> tuple:
+    """solve_stack's order of the unknowns, memoized beside
+    _jacobian_layout's entry: the layout's sources with destinations in
+    block order, the natural index of each unknown in block order and the
+    block order of each natural one (None and None for one block), and the
+    bounds of the diagonal blocks.
+
+    The unknowns (angles at pvpq, then magnitudes at pq; the bus outside
+    pvpq is the slack) are stably sorted by their bus's breadth-first level
+    from the slack, and consecutive levels are merged into blocks of at
+    least MIN_BLOCK unknowns, the last remainder joining the block before
+    it. A branch joins buses of one level or adjacent levels, so the
+    Jacobian in this order is block-tridiagonal. Fewer than MIN_BLOCKS
+    blocks leave one block in natural order.
+    """
+    key = ("blocks", pvpq.tobytes(), pq.tobytes())
+    layout = ybus._jacobian_layouts.get(key)
+    if layout is None:
+        source, dest_row, dest_col = _jacobian_layout(ybus, pvpq, pq)
+        m = pvpq.size + pq.size
+        slack = np.ones(len(ybus.matrix), dtype=bool)
+        slack[pvpq] = False
+        level = _bfs_levels(ybus, int(np.argmax(slack)))[np.concatenate([pvpq, pq])]
+        order = np.argsort(level, kind="stable")
+        bounds = [0]
+        for end in np.flatnonzero(np.diff(level[order])) + 1:
+            if end - bounds[-1] >= MIN_BLOCK and m - end >= MIN_BLOCK:
+                bounds.append(int(end))
+        bounds.append(m)
+        if len(bounds) - 1 < MIN_BLOCKS:
+            layout = (source, dest_row, dest_col, None, None, (0, m))
+        else:
+            rank = np.argsort(order)
+            layout = (source, rank[dest_row], rank[dest_col], order, rank, tuple(bounds))
+        ybus._jacobian_layouts[key] = layout
+    return layout
+
+
 def mismatch_jacobian(
     v: np.ndarray,
     delta: np.ndarray,
@@ -182,6 +261,8 @@ def mismatch_jacobian(
     pvpq: np.ndarray,
     pq: np.ndarray,
     out: np.ndarray | None = None,
+    *,
+    _blocked: bool = False,
 ) -> np.ndarray:
     """Jacobian of the computed injections w.r.t. angles (pvpq) and magnitudes (pq).
 
@@ -199,7 +280,8 @@ def mismatch_jacobian(
     The result is written into out when given, of shape (..., m, m) with
     m = pvpq.size + pq.size; out must be zero wherever ybus's pattern puts
     no entry (a Jacobian it held before of the same ybus, pvpq and pq
-    qualifies), and only the pattern's entries are rewritten.
+    qualifies), and only the pattern's entries are rewritten. solve_stack
+    asks for its rows and columns in its block order (_blocked).
     """
     volt = np.asarray(v, float) * np.exp(1j * np.asarray(delta, float))
     rows, cols, values, diag = ybus._pattern
@@ -216,7 +298,8 @@ def mismatch_jacobian(
     ds[..., 0, diag] += 1j * volt * current_conj
     ds[..., 1, diag] += current_conj * unit
 
-    source, dest_row, dest_col = _jacobian_layout(ybus, pvpq, pq)
+    layout = _block_layout if _blocked else _jacobian_layout
+    source, dest_row, dest_col = layout(ybus, pvpq, pq)[:3]
     if out is None:
         m = pvpq.size + pq.size
         out = np.zeros(volt.shape[:-1] + (m, m))
@@ -224,22 +307,71 @@ def mismatch_jacobian(
     return out
 
 
-def _newton_steps(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """Solve each member's J dx = residual; a singular member gets a NaN step.
-
-    The stacked solve raises for the whole stack when one member is
-    singular, so it is then repeated member by member.
+def _block_solve(jac: np.ndarray, rhs: np.ndarray, bounds: tuple) -> np.ndarray:
+    """Solve each member's jac x = rhs, jac (S, m, m) block-tridiagonal with
+    diagonal blocks between consecutive bounds, by block LU without pivoting
+    between blocks: (G_k | g_k) = S_k^-1 (U_k | r_k), S_k+1 = D_k+1 - L_k G_k
+    and r_k+1 -= L_k g_k forward, x_k = g_k - G_k x_k+1 back, where D, L
+    and U are the diagonal, lower and upper blocks (views of jac) and S_0 =
+    D_0. One block is one stacked LAPACK solve. Raises LinAlgError when a
+    member's S_k is singular; a non-finite value raises no floating-point
+    warning, as the caller checks the result.
     """
+    if len(bounds) == 2:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0]
+    schur = jac[:, : bounds[1], : bounds[1]]
+    r = rhs[:, : bounds[1], None]
+    eliminated = []
+    with np.errstate(all="ignore"):
+        for lo, mid, hi in zip(bounds, bounds[1:], bounds[2:]):
+            solved = np.linalg.solve(schur, np.concatenate([jac[:, lo:mid, mid:hi], r], axis=2))
+            update = jac[:, mid:hi, lo:mid] @ solved
+            schur = jac[:, mid:hi, mid:hi] - update[:, :, :-1]
+            r = rhs[:, mid:hi, None] - update[:, :, -1:]
+            eliminated.append(solved)
+        x = [np.linalg.solve(schur, r)]
+        for solved in reversed(eliminated):
+            x.append(solved[:, :, -1:] - solved[:, :, :-1] @ x[-1])
+    return np.concatenate(x[::-1], axis=1)[..., 0]
+
+
+def _member_step(jac: np.ndarray, rhs: np.ndarray, bounds: tuple) -> np.ndarray:
+    """One member's step alone: by blocks, or densely when a block is
+    singular or the result is not finite, or NaN when jac is singular."""
     try:
-        return np.linalg.solve(jac, residual[..., None])[..., 0]
+        step = _block_solve(jac[None], rhs[None], bounds)[0]
+        if np.all(np.isfinite(step)):
+            return step
     except np.linalg.LinAlgError:
-        steps = np.full(residual.shape, np.nan)
-        for k in range(len(jac)):
-            try:
-                steps[k] = np.linalg.solve(jac[k], residual[k])
-            except np.linalg.LinAlgError:
-                pass
-        return steps
+        pass
+    try:
+        return np.linalg.solve(jac, rhs)
+    except np.linalg.LinAlgError:
+        return np.full(rhs.shape, np.nan)
+
+
+def _newton_steps(jac: np.ndarray, residual: np.ndarray, blocks: tuple) -> np.ndarray:
+    """Solve each member's J dx = residual, J in the block order that
+    blocks = (order, rank, bounds) of _block_layout describes and residual
+    and dx in natural order.
+
+    The stacked solve raises for the whole stack when one member meets a
+    singular block, so it is then repeated member by member; a member whose
+    split solve fails or is not finite is solved again alone, densely, and
+    gets a NaN step only when that is singular too. Its stack-mates are
+    unaffected. One block is the dense solve already, so its non-finite
+    steps stand.
+    """
+    order, rank, bounds = blocks
+    rhs = residual if order is None else residual[:, order]
+    try:
+        steps = _block_solve(jac, rhs, bounds)
+        retry = () if len(bounds) == 2 else np.flatnonzero(~np.all(np.isfinite(steps), axis=1))
+    except np.linalg.LinAlgError:
+        steps, retry = np.empty_like(rhs), range(len(jac))
+    for k in retry:
+        steps[k] = _member_step(jac[k], rhs[k], bounds)
+    return steps if rank is None else steps[:, rank]
 
 
 def total_losses(solution: PowerFlowSolution, case: NetworkCase) -> float:
@@ -305,8 +437,9 @@ def solve_stack(
     delta[:, slack] = 0.0
 
     k = pvpq.size
-    # One Jacobian buffer per call: each step rewrites only the pattern's
-    # entries of its leading rows, so the rest stays zero.
+    blocks = _block_layout(ybus, pvpq, pq)[3:]
+    # One Jacobian buffer per call, in block order: each step rewrites only
+    # the pattern's entries of its leading rows, so the rest stays zero.
     jac = np.zeros((shape[0], k + pq.size, k + pq.size))
     iterations = np.zeros(shape[0], dtype=int)
     max_mismatch = np.full(shape[0], np.inf)
@@ -329,8 +462,10 @@ def solve_stack(
                 break
             active, residual = active[stepping], residual[stepping]
             v_now, delta_now, p_now, q_now = v[active], delta[active], p[active], q[active]
-        step_jac = mismatch_jacobian(v_now, delta_now, ybus, pvpq, pq, out=jac[: active.size])
-        dx = _newton_steps(step_jac, residual)
+        step_jac = mismatch_jacobian(
+            v_now, delta_now, ybus, pvpq, pq, out=jac[: active.size], _blocked=True
+        )
+        dx = _newton_steps(step_jac, residual, blocks)
         v_pq = v_now[:, pq] + dx[:, k:]
         usable = np.all(np.isfinite(dx), axis=1) & np.all(np.isfinite(v_pq) & (v_pq > 0), axis=1)
         if not usable.all():

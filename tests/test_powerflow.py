@@ -568,9 +568,9 @@ def test_jacobian_refills_its_output_buffer(fixture_case, monkeypatch):
     # members have stopped at different steps
     outs = []
 
-    def recording(*args, out):
+    def recording(*args, out, **kwargs):
         outs.append(out)
-        return mismatch_jacobian(*args, out=out)
+        return mismatch_jacobian(*args, out=out, **kwargs)
 
     monkeypatch.setattr(powerflow, "mismatch_jacobian", recording)
     flows = solve_stack(stack_of(box_specs(fixture_case, 20, seed=23)), ybus)
@@ -601,3 +601,152 @@ def test_fixture_flow_with_held_generator_voltages(fixture_case):
     loss = total_losses(solution, case)
     assert loss == pytest.approx(branch_loss_sum(case, solution), abs=1e-10)
     assert float(np.sum(solution.p_injected)) == pytest.approx(loss, abs=1e-7)
+
+
+def area_chain(rng, areas, size=24):
+    """`areas` rings of `size` buses in a chain, each joined to the next by
+    two tie lines; the slack is the first bus of the first area."""
+    branches = []
+    for a in range(areas):
+        ids = [a * size + i + 1 for i in range(size)]
+        for f, t in zip(ids, ids[1:] + ids[:1]):
+            branches.append(Branch(f, t, float(rng.uniform(0.01, 0.05)), float(rng.uniform(0.05, 0.2))))
+        if a:
+            branches += [Branch(i - size, i, 0.02, 0.08, 0.02) for i in (ids[0], ids[size // 2])]
+    buses = tuple(Bus(i + 1, "slack" if i == 0 else "load") for i in range(areas * size))
+    return NetworkCase(base_mva=100.0, buses=buses, branches=tuple(branches))
+
+
+def random_flow_spec(rng, case, members=None):
+    """Small random net injections, 30% PV buses with setpoints near 1.0,
+    and the case's slack; `members` rows of injections when given."""
+    n = case.n
+    roles = rng.choice([int(PQ), int(PV)], size=n, p=[0.7, 0.3])
+    roles[case.index_of(case.slack_bus().id)] = int(SLACK)
+    shape = (n,) if members is None else (members, n)
+    p, q = rng.uniform(-0.01, 0.01, shape), rng.uniform(-0.005, 0.005, shape)
+    return make_spec(p, q, roles, v_setpoint=rng.uniform(0.98, 1.02, n))
+
+
+def block_count(ybus, spec):
+    pq = np.flatnonzero(spec.roles == PQ)
+    pvpq = np.concatenate([np.flatnonzero(spec.roles == PV), pq])
+    return len(powerflow._block_layout(ybus, pvpq, pq)[-1]) - 1
+
+
+def test_block_solve_converges_like_the_dense_solve(monkeypatch):
+    # Rings with a chord and chains of ring areas, all split into level
+    # blocks, against the same Newton loop kept to one dense block.
+    rng = np.random.default_rng(53)
+    cases = [random_connected_case(rng, n) for n in (60, 100, 140, 200)]
+    cases += [area_chain(rng, 3), area_chain(rng, 4)]
+    specs = [random_flow_spec(rng, case) for case in cases]
+    blocked = []
+    for case, spec in zip(cases, specs):
+        ybus = build_admittance(case)
+        assert block_count(ybus, spec) >= powerflow.MIN_BLOCKS
+        blocked.append(solve_stack(spec, ybus))
+    monkeypatch.setattr(powerflow, "MIN_BLOCKS", math.inf)
+    for case, spec, flows in zip(cases, specs, blocked):
+        ybus = build_admittance(case)
+        assert block_count(ybus, spec) == 1
+        dense = solve_stack(spec, ybus)
+        assert flows.converged.tolist() == dense.converged.tolist()
+        assert flows.iterations.tolist() == dense.iterations.tolist()
+        if dense.converged[0]:
+            assert np.max(np.abs(flows.v - dense.v)) <= 1e-10
+            assert np.max(np.abs(flows.delta - dense.delta)) <= 1e-10
+    assert sum(bool(f.converged[0]) for f in blocked) >= 5
+
+
+def test_block_solved_stack_members_equal_lone_solves_bitwise():
+    # A four-area chain in level blocks: ordinary members, one far beyond
+    # the network's capability and one with an infinite injection (whose
+    # step is non-finite) all end at the bits of their lone solves.
+    rng = np.random.default_rng(59)
+    case = area_chain(rng, 4)
+    ybus = build_admittance(case)
+    spec = random_flow_spec(rng, case, members=6)
+    p = np.array(spec.p)
+    p[4, 30] = -50.0
+    p[5, 40] = -math.inf
+    spec = make_spec(p, spec.q, spec.roles, spec.v_setpoint)
+    assert block_count(ybus, spec) >= powerflow.MIN_BLOCKS
+
+    flows = solve_stack(spec, ybus)
+    assert flows.converged.tolist() == [True] * 4 + [False] * 2
+    assert flows.iterations[5] == 0
+    for k in range(6):
+        alone = solve_stack(make_spec(p[k], spec.q[k], spec.roles, spec.v_setpoint), ybus)
+        assert alone.converged[0] == flows.converged[k]
+        assert alone.iterations[0] == flows.iterations[k]
+        assert alone.max_mismatch[0] == flows.max_mismatch[k]
+        assert np.array_equal(alone.v[0], flows.v[k])
+        assert np.array_equal(alone.delta[0], flows.delta[k])
+        for name in INJECTION_FIELDS:
+            assert bits(getattr(alone, name)[0]) == bits(getattr(flows, name)[k])
+
+
+def dense_newton_steps(jac, residual, blocks):
+    """Reference: one stacked LAPACK solve of the whole Jacobian, repeated
+    member by member when one is singular, which then gets a NaN step."""
+    try:
+        return np.linalg.solve(jac, residual[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = np.full(residual.shape, np.nan)
+        for k in range(len(jac)):
+            try:
+                steps[k] = np.linalg.solve(jac[k], residual[k])
+            except np.linalg.LinAlgError:
+                pass
+        return steps
+
+
+@pytest.mark.parametrize("stack", ["per-member", "decision-box"])
+def test_bundled_case_is_one_block_and_solves_densely(fixture_case, monkeypatch, stack):
+    ybus = build_admittance(fixture_case)
+    spec = per_member_stack(fixture_case) if stack == "per-member" else stack_of(box_specs(fixture_case, 200, seed=23))
+    pq = np.flatnonzero(spec.roles == PQ)
+    pvpq = np.concatenate([np.flatnonzero(spec.roles == PV), pq])
+    layout = powerflow._block_layout(ybus, pvpq, pq)
+    assert layout[3:] == (None, None, (0, pvpq.size + pq.size))
+    flows = solve_stack(spec, ybus)
+    monkeypatch.setattr(powerflow, "_newton_steps", dense_newton_steps)
+    reference = solve_stack(spec, ybus)
+    for field in dataclasses.fields(PowerFlowSolution):
+        assert bits(getattr(flows, field.name)) == bits(getattr(reference, field.name))
+
+
+def test_singular_block_falls_back_to_the_dense_solve():
+    # Block-tridiagonal 8 x 8 members in blocks of two:
+    #   0: first diagonal block exactly singular, the matrix is not
+    #   1: first diagonal block with a subnormal pivot, so the block
+    #      elimination overflows and its step is not finite
+    #   2: an ordinary member
+    #   3: a zero row, singular as a whole
+    rng = np.random.default_rng(67)
+    bounds = (0, 2, 4, 6, 8)
+    block = np.repeat(np.arange(4), 2)
+    tridiagonal = np.abs(block[:, None] - block[None, :]) <= 1
+    jac = rng.uniform(-1.0, 1.0, size=(4, 8, 8)) * tridiagonal + 3.0 * np.eye(8)
+    jac[0, :2, :2] = 1.0
+    jac[1, :2, :2] = [[1.0, 0.0], [0.0, 1e-310]]
+    jac[3, 5] = 0.0
+    residual = rng.uniform(-1.0, 1.0, size=(4, 8))
+    blocks = (None, None, bounds)
+
+    with pytest.raises(np.linalg.LinAlgError):
+        powerflow._block_solve(jac[:1], residual[:1], bounds)
+    assert not np.all(np.isfinite(powerflow._block_solve(jac[1:2], residual[1:2], bounds)))
+    assert np.linalg.matrix_rank(jac[3]) == 7
+
+    steps = powerflow._newton_steps(jac, residual, blocks)
+    for k in (0, 1):
+        assert np.array_equal(steps[k], np.linalg.solve(jac[k], residual[k]))
+    assert np.array_equal(steps[2], powerflow._newton_steps(jac[2:3], residual[2:3], blocks)[0])
+    assert np.max(np.abs(steps[2] - np.linalg.solve(jac[2], residual[2]))) <= 1e-12
+    assert np.all(np.isnan(steps[3]))
+    # without the singular members the stacked block solve returns, and
+    # only its non-finite member is solved again
+    pair = powerflow._newton_steps(jac[1:3], residual[1:3], blocks)
+    assert np.array_equal(pair, steps[1:3])
