@@ -168,20 +168,16 @@ def build_injections(case: NetworkCase, decision: DecisionVector | None = None) 
     q = np.zeros(n)
     roles = np.full(n, int(BusRole.PQ))
     v_set = np.ones(n)
-    slack_idx = case.index_of(case.slack_bus().id)
-    roles[slack_idx] = int(BusRole.SLACK)
+    gens = dispatchable_generators(case)  # CaseError unless the case has one slack bus
+    roles[next(k for k, bus in enumerate(case.buses) if bus.kind == "slack")] = int(BusRole.SLACK)
 
-    for load in case.loads:
-        k = case.index_of(load.bus)
-        p[k] -= load.p
-        q[k] -= load.q
-
-    gens = dispatchable_generators(case)
-    for gen in gens:
-        k = case.index_of(gen.bus)
-        p[k] += gen.p_output
-        if decision is None:
-            roles[k] = int(BusRole.PV)
+    at = np.array([case.index_of(load.bus) for load in case.loads], dtype=int)
+    np.subtract.at(p, at, [load.p for load in case.loads])
+    np.subtract.at(q, at, [load.q for load in case.loads])
+    at = np.array([case.index_of(gen.bus) for gen in gens], dtype=int)
+    np.add.at(p, at, [gen.p_output for gen in gens])
+    if decision is None:
+        roles[at] = int(BusRole.PV)
 
     if decision is not None:
         if len(decision.q_generators) != len(gens) or len(decision.q_compensators) != len(

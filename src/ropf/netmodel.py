@@ -3,10 +3,12 @@
 Includes the case-file parser, structural validation, and construction of
 the bus admittance matrix. The parser reports syntax errors with their line
 number; validate_case judges everything else and reports every violation at
-once. All electrical quantities are per-unit on the case MVA base unless a
-field says otherwise ($ figures use base_mva to convert). Bus ids are
-arbitrary positive integers; matrix work uses the 0-based position of a bus
-in the case bus list (see NetworkCase.index_of).
+once, formatting a record's label only for a record it reports. All
+electrical quantities are per-unit on the case MVA base unless a field says
+otherwise ($ figures use base_mva to convert). Bus ids are arbitrary positive
+integers; matrix work uses the 0-based position of a bus in the case bus list
+(see NetworkCase.index_of). A case computes its branch ends' positions once
+(NetworkCase._branch_ends), for build_admittance and powerflow.total_losses.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -160,6 +164,18 @@ class NetworkCase:
     def _index(self) -> dict[int, int]:
         return {bus.id: pos for pos, bus in enumerate(self.buses)}
 
+    @cached_property
+    def _branch_ends(self) -> np.ndarray:
+        """Bus positions of the branches' (from, to) ends, read-only (B, 2) in
+        branch order; an unknown bus raises index_of's CaseError."""
+        ends = chain.from_iterable(map(attrgetter("from_bus", "to_bus"), self.branches))
+        try:
+            pos = np.fromiter(map(self._index.__getitem__, ends), int, 2 * len(self.branches)).reshape(-1, 2)
+        except KeyError as err:
+            self.index_of(*err.args)  # raises, naming the first unknown bus
+        pos.flags.writeable = False
+        return pos
+
     def index_of(self, bus_id: int) -> int:
         """0-based matrix position of a bus id."""
         try:
@@ -272,6 +288,24 @@ def _read(read, token: str, line: int, what: str):
         raise CaseError(f"bad {what} {token!r}", line) from None
 
 
+def _build(rows: list, reads, fields, widths: tuple[int, ...], usage: str, build) -> list:
+    """A section's elements from its (line, tokens) rows, read a column at a
+    time when they share an allowed width, or else row by row, which raises
+    CaseError(usage) at a row of another width and names an unreadable field."""
+    toks = [tok for _, tok in rows]
+    if len(set(map(len, toks))) == 1 and len(toks[0]) in widths:
+        try:
+            return list(map(build, *[list(map(read, col)) for read, col in zip(reads, zip(*toks))]))
+        except ValueError:
+            pass
+    elements = []
+    for lineno, tok in rows:
+        if len(tok) not in widths:
+            raise CaseError(usage, lineno)
+        elements.append(build(*[_read(read, t, lineno, f) for read, t, f in zip(reads, tok, fields)]))
+    return elements
+
+
 def parse_case(text: str) -> NetworkCase:
     """Parse case-file text into a validated NetworkCase.
 
@@ -298,23 +332,24 @@ def parse_case(text: str) -> NetworkCase:
     """
     rows: dict[str, list[tuple[int, list[str]]]] = {name: [] for name in _SECTIONS}
     declared: list[str] = []
-    current: str | None = None
+    section: list | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw.partition("#")[0]
+        tok = raw.split()
+        if not tok:
             continue
-        m = _HEADER_RE.fullmatch(line)
-        if m:
+        if tok[0][0] == "[" and (m := _HEADER_RE.fullmatch(raw.strip())):
             name = m.group(1)
             if name not in _SECTIONS:
                 raise CaseError(f"unknown section [{name}]", lineno)
             if name not in declared:
                 declared.append(name)
-            current = name
+            section = rows[name]
             continue
-        if current is None:
+        if section is None:
             raise CaseError("record before any section header", lineno)
-        rows[current].append((lineno, line.split()))
+        section.append((lineno, tok))
 
     for name in declared:
         if not rows[name]:
@@ -328,30 +363,13 @@ def parse_case(text: str) -> NetworkCase:
             raise CaseError("[BASE_MVA] holds exactly one value", lineno)
         base_mva = _read(float, tok[0], lineno, "base MVA")
 
-    buses: list[Bus] = []
-    for lineno, tok in rows["BUS"]:
-        if len(tok) not in (2, 4):
-            raise CaseError("BUS record is 'id kind [v_min v_max]'", lineno)
-        bus_id = _read(int, tok[0], lineno, "bus id")
-        kind = tok[1].lower()
-        if len(tok) == 4:
-            v_min = _read(float, tok[2], lineno, "v_min")
-            v_max = _read(float, tok[3], lineno, "v_max")
-        else:
-            v_min, v_max = DEFAULT_V_MIN, DEFAULT_V_MAX
-        buses.append(Bus(bus_id, kind, v_min, v_max))
-
+    bus_fields, bus_usage = ("bus id", "kind", "v_min", "v_max"), "BUS record is 'id kind [v_min v_max]'"
+    buses = _build(rows["BUS"], (int, str.lower, float, float), bus_fields, (2, 4), bus_usage, Bus)
     elements: dict[str, list] = {entry[2]: [] for entry in _RECORDS}
     for name, layout, field, build, _ in _RECORDS:
-        fields, reads = layout.split(), _readers(layout)
-        for lineno, tok in rows[name]:
-            if len(tok) != len(fields):
-                raise CaseError(f"{name} record is '{layout}'", lineno)
-            try:
-                values = [read(t) for read, t in zip(reads, tok)]
-            except ValueError:  # read again field by field to name the bad one
-                values = [_read(read, t, lineno, f) for read, t, f in zip(reads, tok, fields)]
-            elements[field].append(build(*values))
+        fields = layout.split()
+        usage = f"{name} record is '{layout}'"
+        elements[field] += _build(rows[name], _readers(layout), fields, (len(fields),), usage, build)
 
     case = NetworkCase(base_mva, tuple(buses), **{k: tuple(v) for k, v in elements.items()})
     violations = validate_case(case)
@@ -402,22 +420,31 @@ def validate_case(case: NetworkCase) -> list[str]:
     differ, nonzero branch impedance, positive taps, finite Ybus terms,
     source limits ordered and within capability, referenced buses present,
     no compensator at the slack bus, and a connected network. A non-finite
-    number is reported once, as itself.
+    number is reported once, as itself: a section's floats are scanned one by
+    one only when their math.fsum is not finite, and a record's label is
+    formatted only when the record has a violation.
     """
     bad: list[str] = []
-    records = (
-        [("case", case)]
-        + [(f"bus {b.id}", b) for b in case.buses]
-        + [(f"branch {br.from_bus}-{br.to_bus}", br) for br in case.branches]
-        + [(f"generator at bus {g.bus}", g) for g in case.generators]
-        + [(f"generator at bus {g.bus} cost", g.cost) for g in case.generators]
-        + [(f"compensator at bus {c.bus}", c) for c in case.compensators]
-        + [(f"load at bus {ld.bus}", ld) for ld in case.loads]
-    )
-    for label, record in records:
-        for name, value in vars(record).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                bad.append(f"{label}: {name} must be finite, got {value}")
+    for label, owners, records in (
+        ("case", (case,), (case,)),
+        ("bus {0.id}", case.buses, case.buses),
+        ("branch {0.from_bus}-{0.to_bus}", case.branches, case.branches),
+        ("generator at bus {0.bus}", case.generators, case.generators),
+        ("generator at bus {0.bus} cost", case.generators, [g.cost for g in case.generators]),
+        ("compensator at bus {0.bus}", case.compensators, case.compensators),
+        ("load at bus {0.bus}", case.loads, case.loads),
+    ):
+        # math.fsum of finite floats is finite or raises OverflowError
+        values = filter(float.__instancecheck__, chain.from_iterable(map(dict.values, map(vars, records))))
+        try:
+            if math.isfinite(math.fsum(values)):
+                continue
+        except (OverflowError, ValueError):
+            pass
+        for owner, record in zip(owners, records):
+            for name, value in vars(record).items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    bad.append(f"{label.format(owner)}: {name} must be finite, got {value}")
 
     if case.base_mva <= 0:
         bad.append(f"base MVA must be positive, got {case.base_mva}")
@@ -445,74 +472,68 @@ def validate_case(case: NetworkCase) -> list[str]:
     elif len(slack_ids) > 1:
         bad.append("duplicate slack: buses " + ", ".join(str(i) for i in slack_ids))
 
+    adjacency: dict[int, list[int]] = {bus.id: [] for bus in case.buses}
     for br in case.branches:
-        label = f"branch {br.from_bus}-{br.to_bus}"
-        for end in (br.from_bus, br.to_bus):
-            if end not in seen:
-                bad.append(f"{label}: unknown bus {end}")
-        if br.from_bus == br.to_bus:
-            bad.append(f"{label}: endpoints must differ")
-        if br.resistance == 0.0 and br.reactance == 0.0:
-            bad.append(f"{label}: zero impedance")
-        if br.tap_ratio <= 0.0:
-            bad.append(f"{label}: tap ratio must be positive, got {br.tap_ratio}")
-        elif br.resistance or br.reactance:
+        f, t, r, x, tap = br.from_bus, br.to_bus, br.resistance, br.reactance, br.tap_ratio
+        if f in adjacency and t in adjacency:
+            adjacency[f].append(t)
+            adjacency[t].append(f)
+        if f not in seen:
+            bad.append(f"branch {f}-{t}: unknown bus {f}")
+        if t not in seen:
+            bad.append(f"branch {f}-{t}: unknown bus {t}")
+        if f == t:
+            bad.append(f"branch {f}-{t}: endpoints must differ")
+        if r == 0.0 and x == 0.0:
+            bad.append(f"branch {f}-{t}: zero impedance")
+        if tap <= 0.0:
+            bad.append(f"branch {f}-{t}: tap ratio must be positive, got {tap}")
+        elif r or x:
             # The Ybus terms y/a**2 and y/a; a tap whose square underflows to
             # zero would divide by zero.
-            y = 1.0 / complex(br.resistance, br.reactance)
-            a2 = br.tap_ratio * br.tap_ratio
-            finite = a2 > 0.0 and cmath.isfinite(y / a2) and cmath.isfinite(y / br.tap_ratio)
+            y = 1.0 / complex(r, x)
+            a2 = tap * tap
+            finite = a2 > 0.0 and cmath.isfinite(y / a2) and cmath.isfinite(y / tap)
             if not finite and all(map(math.isfinite, vars(br).values())):  # else reported above
-                bad.append(f"{label}: admittance is not finite")
+                bad.append(f"branch {f}-{t}: admittance is not finite")
 
     for g in case.generators:
-        label = f"generator at bus {g.bus}"
         if g.bus not in seen:
-            bad.append(f"{label}: unknown bus {g.bus}")
+            bad.append(f"generator at bus {g.bus}: unknown bus {g.bus}")
         if g.s_max <= 0:
-            bad.append(f"{label}: s_max must be positive")
+            bad.append(f"generator at bus {g.bus}: s_max must be positive")
         if g.q_min > g.q_max:
-            bad.append(f"{label}: q_min {g.q_min} exceeds q_max {g.q_max}")
+            bad.append(f"generator at bus {g.bus}: q_min {g.q_min} exceeds q_max {g.q_max}")
         if max(abs(g.q_min), abs(g.q_max)) > g.s_max:
-            bad.append(f"{label}: reactive limits exceed s_max {g.s_max}")
+            bad.append(f"generator at bus {g.bus}: reactive limits exceed s_max {g.s_max}")
         if g.p_output > g.s_max:
-            bad.append(f"{label}: p_output {g.p_output} exceeds s_max {g.s_max}")
+            bad.append(f"generator at bus {g.bus}: p_output {g.p_output} exceeds s_max {g.s_max}")
         if g.p_output < 0:
-            bad.append(f"{label}: p_output must be nonnegative")
+            bad.append(f"generator at bus {g.bus}: p_output must be nonnegative")
         if g.cost.c < 0:
-            bad.append(f"{label}: quadratic cost coefficient must be nonnegative")
+            bad.append(f"generator at bus {g.bus}: quadratic cost coefficient must be nonnegative")
         if g.profit_rate < 0:
-            bad.append(f"{label}: profit rate must be nonnegative")
+            bad.append(f"generator at bus {g.bus}: profit rate must be nonnegative")
 
     for c in case.compensators:
-        label = f"compensator at bus {c.bus}"
         if c.bus not in seen:
-            bad.append(f"{label}: unknown bus {c.bus}")
+            bad.append(f"compensator at bus {c.bus}: unknown bus {c.bus}")
         elif c.bus in slack_ids:
-            bad.append(f"{label}: the slack bus absorbs its output, so it changes no flow")
+            bad.append(f"compensator at bus {c.bus}: the slack bus absorbs its output, so it changes no flow")
         if not (0.0 <= c.q_min <= c.q_max) and all(map(math.isfinite, (c.q_min, c.q_max))):
-            bad.append(f"{label}: limits [{c.q_min}, {c.q_max}] must satisfy 0 <= q_min <= q_max")
+            bad.append(f"compensator at bus {c.bus}: limits [{c.q_min}, {c.q_max}] must satisfy 0 <= q_min <= q_max")
         if c.rate < 0:
-            bad.append(f"{label}: rate must be nonnegative")
+            bad.append(f"compensator at bus {c.bus}: rate must be nonnegative")
 
     for ld in case.loads:
         if ld.bus not in seen:
             bad.append(f"load at bus {ld.bus}: unknown bus {ld.bus}")
 
     if case.buses and not any(b.startswith("duplicate bus id") for b in bad):
-        adjacency: dict[int, set[int]] = {bus.id: set() for bus in case.buses}
-        for br in case.branches:
-            if br.from_bus in adjacency and br.to_bus in adjacency:
-                adjacency[br.from_bus].add(br.to_bus)
-                adjacency[br.to_bus].add(br.from_bus)
-        reached = {case.buses[0].id}
-        frontier = [case.buses[0].id]
+        reached, frontier = {case.buses[0].id}, {case.buses[0].id}
         while frontier:
-            nxt = frontier.pop()
-            for other in adjacency[nxt]:
-                if other not in reached:
-                    reached.add(other)
-                    frontier.append(other)
+            frontier = {other for b in frontier for other in adjacency[b]} - reached
+            reached |= frontier
         missing = sorted(seen - reached)
         if missing:
             bad.append("disconnected network: no path to buses " + ", ".join(map(str, missing)))
@@ -531,19 +552,18 @@ def build_admittance(case: NetworkCase) -> AdmittanceMatrix:
     entry sums its terms in branch order.
     """
     n = case.n
-    flat, terms = [], []
+    i, j = case._branch_ends.T
+    terms = []
     for br in case.branches:
         if br.resistance == 0.0 and br.reactance == 0.0:
             raise CaseError(f"branch {br.from_bus}-{br.to_bus}: zero impedance")
-        i = case.index_of(br.from_bus)
-        j = case.index_of(br.to_bus)
         series = 1.0 / complex(br.resistance, br.reactance)
         shunt = 0.5j * br.charging_susceptance
         a = br.tap_ratio
-        flat += (i * n + i, j * n + j, i * n + j, j * n + i)
         terms += ((series + shunt) / (a * a), series + shunt, -(series / a), -(series / a))
+    flat = np.stack([i * (n + 1), j * (n + 1), i * n + j, j * n + i], axis=1)
     y = np.zeros(n * n, dtype=complex)
-    np.add.at(y, np.array(flat, dtype=int), np.array(terms, dtype=complex))
+    np.add.at(y, flat.ravel(), np.array(terms, dtype=complex))
     y = y.reshape(n, n)
     y.flags.writeable = False
     return AdmittanceMatrix(y)

@@ -384,10 +384,9 @@ def total_losses(solution: PowerFlowSolution, case: NetworkCase) -> float:
     is an internal bug, so it raises. It builds no admittance matrix.
     """
     branches = case.branches
-    start = np.array([case.index_of(b.from_bus) for b in branches], dtype=int)
-    end = np.array([case.index_of(b.to_bus) for b in branches], dtype=int)
-    z = np.array([complex(b.resistance, b.reactance) for b in branches], dtype=complex)
-    tap = np.array([b.tap_ratio for b in branches], dtype=float)
+    start, end = case._branch_ends.T
+    rxt = np.array([(b.resistance, b.reactance, b.tap_ratio) for b in branches], dtype=float).reshape(-1, 3)
+    z, tap = rxt[:, :2].view(complex)[:, 0], rxt[:, 2]  # z is exactly complex(r, x)
     volt = solution.v * np.exp(1j * solution.delta)
     by_injection = float(np.sum(solution.p_injected))
     i_series = (volt[start] / tap - volt[end]) / z

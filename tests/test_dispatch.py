@@ -24,6 +24,7 @@ from ropf.netmodel import (
     Bus,
     Compensator,
     Generator,
+    Load,
     NetworkCase,
 )
 from ropf import dispatch, pso
@@ -125,6 +126,30 @@ def test_build_injections_with_decision(fixture_case):
     assert spec.q[idx(4)] == pytest.approx(0.3)
     with pytest.raises(ValueError, match="sources"):
         build_injections(fixture_case, DecisionVector((0.1,), (0.2, 0.3)))
+
+
+def test_build_injections_adds_records_in_order(fixture_case):
+    # Element by element in record order, as a scalar loop does it: loads at
+    # one bus whose sum depends on the order, and two machines at one bus.
+    extra = (Load(6, 0.1, 0.3), Load(6, 0.2, 0.2), Load(6, 0.3, 0.1), Load(2, 0.7, 0.3))
+    case = replace(fixture_case, loads=fixture_case.loads + extra)
+    case = replace(case, generators=case.generators + (replace(case.generators[0], p_output=0.3),))
+    for decision in (None, DecisionVector.from_array(case, np.linspace(-0.1, 0.2, len(decision_bounds(case))))):
+        p, q = np.zeros(case.n), np.zeros(case.n)
+        for load in case.loads:
+            p[case.index_of(load.bus)] -= load.p
+            q[case.index_of(load.bus)] -= load.q
+        for gen in case.generators:
+            if gen.bus != case.slack_bus().id:
+                p[case.index_of(gen.bus)] += gen.p_output
+        spec = build_injections(case, decision)
+        assert spec.p.tobytes() == p.tobytes()
+        if decision is None:
+            assert spec.q.tobytes() == q.tobytes()
+            assert [int(r) for r in spec.roles] == [
+                BusRole.SLACK if b.kind == "slack" else BusRole.PV if b.id in (1, 2) else BusRole.PQ
+                for b in case.buses
+            ]
 
 
 def test_voltage_penalty_hand_values():

@@ -104,6 +104,46 @@ def test_parse_error_carries_line_number():
     assert exc.value.line == 8
 
 
+def test_parse_reads_headers_and_comments_by_the_line():
+    text = """# only a comment
+[BASE_MVA]
+100.0
+[BUS]   # note
+1 load # trailing comment
+2 slack
+#
+[BRANCH]
+1 2 0.0 0.1 0.0
+  [LOAD]
+1 0.5 0.0
+"""
+    assert parse_case(text) == parse_case(MINIMAL_CASE)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # a header is a whole line in capitals; anything else is a record
+        ("[BUS]\n", "[BUS]\n[bus]\n", "line 5: BUS record is 'id kind [v_min v_max]'"),
+        ("\n[BASE_MVA]", "[bus]\n[BASE_MVA]", "line 1: record before any section header"),
+        ("2 slack", "[BUS] 2 slack", "line 6: BUS record is 'id kind [v_min v_max]'"),
+        ("1 load", "1x load", "line 5: bad bus id '1x'"),
+        ("1 load", "1 load 0.9 1.1x", "line 5: bad v_max '1.1x'"),
+        ("1 2 0.0 0.1 0.0", "1 2 0.0 oops 0.0", "line 8: bad x 'oops'"),
+        ("1 2 0.0 0.1 0.0", "1 2 0.0 0.1", "line 8: BRANCH record is 'from to r x b'"),
+        ("1 0.5 0.0", "1 0.5 0.0z", "line 10: bad q '0.0z'"),
+        # the first bad record of a section is reported, whatever its fault
+        ("1 load\n2 slack", "1x load\n2", "line 5: bad bus id '1x'"),
+        ("1 load\n2 slack", "1\n2x slack", "line 5: BUS record is 'id kind [v_min v_max]'"),
+    ],
+)
+def test_parse_names_the_line_of_a_syntax_error(old, new, message):
+    with pytest.raises(CaseError) as exc:
+        parse_case(MINIMAL_CASE.replace(old, new, 1))
+    assert str(exc.value) == message
+    assert exc.value.line == int(message.split(":")[0].split()[1])
+
+
 def test_parse_warns_on_negative_load():
     # A negative load is a net injection: it parses silently and keeps its sign.
     text = MINIMAL_CASE.replace("1 0.5 0.0", "1 0.5 -0.04")
@@ -299,6 +339,64 @@ def test_validator_reports_a_non_finite_bound_once():
     assert [p for p in problems if p.startswith("compensator")] == ["compensator at bus 1: q_max must be finite, got nan"]
 
 
+def test_validator_lists_every_violation_once_in_order():
+    # One violation or more in every section, so a reordered, dropped or
+    # repeated message shows; non-finite numbers come first, section by
+    # section, then the record checks in record order.
+    case = NetworkCase(
+        base_mva=100.0,
+        buses=(
+            Bus(1, "load", v_min=math.nan),
+            Bus(2, "slack"),
+            Bus(3, "generator", 1.05, 0.95),
+            Bus(4, "compensator"),
+            Bus(5, "load"),
+            Bus(6, "load"),
+        ),
+        branches=(
+            Branch(1, 2, 0.0, 0.1),
+            Branch(2, 3, math.inf, 0.1),
+            Branch(3, 4, 0.0, 0.0),
+            Branch(1, 4, 0.0, 0.1, tap_ratio=0.0),
+            Branch(1, 99, 0.0, 0.1),
+            Branch(5, 6, 0.01, 0.1),
+        ),
+        generators=(
+            Generator(3, 0.2, 0.5, -0.3, math.inf, CostQuadratic(45.0, 750.0, 450.0), 0.07),
+            Generator(1, 0.1, 0.5, 0.3, -0.3, CostQuadratic(1.0, math.nan, 1.0), 0.07),
+        ),
+        compensators=(Compensator(2, 0.0, 0.2, 0.0354), Compensator(4, 0.0, 0.2, math.nan)),
+        loads=(Load(1, 0.1, -math.inf), Load(98, 0.1, 0.0)),
+    )
+    assert validate_case(case) == [
+        "bus 1: v_min must be finite, got nan",
+        "branch 2-3: resistance must be finite, got inf",
+        "generator at bus 3: q_max must be finite, got inf",
+        "generator at bus 1 cost: b must be finite, got nan",
+        "compensator at bus 4: rate must be finite, got nan",
+        "load at bus 1: q must be finite, got -inf",
+        "bus 3: voltage band [1.05, 0.95] is not ordered",
+        "branch 3-4: zero impedance",
+        "branch 1-4: tap ratio must be positive, got 0.0",
+        "branch 1-99: unknown bus 99",
+        "generator at bus 3: reactive limits exceed s_max 0.5",
+        "generator at bus 1: q_min 0.3 exceeds q_max -0.3",
+        "compensator at bus 2: the slack bus absorbs its output, so it changes no flow",
+        "load at bus 98: unknown bus 98",
+        "disconnected network: no path to buses 5, 6",
+    ]
+
+
+def test_validator_accepts_finite_numbers_whose_sum_overflows():
+    # The charging of these two lines sums past the largest float; every
+    # number is finite, so none is reported.
+    line = Branch(1, 2, 0.0, 0.1, charging_susceptance=1e308)
+    case = NetworkCase(100.0, (Bus(1, "load"), Bus(2, "slack")), (line, line), loads=(Load(1, 0.1, 0.0),))
+    with pytest.raises(OverflowError):
+        math.fsum([line.charging_susceptance] * 2)
+    assert validate_case(case) == []
+
+
 def test_admittance_single_line():
     ybus = build_admittance(two_bus_case(reactance=0.1))
     expect = np.array([[-10j, 10j], [10j, -10j]])
@@ -411,9 +509,10 @@ def test_admittance_sums_each_entry_in_branch_order():
         ybus = build_admittance(case)
         assert ybus.matrix.tobytes() == scalar_admittance(case).tobytes()
         mask = np.eye(case.n, dtype=bool)
-        for br in case.branches:
-            i, j = case.index_of(br.from_bus), case.index_of(br.to_bus)
+        ends = [(case.index_of(br.from_bus), case.index_of(br.to_bus)) for br in case.branches]
+        for i, j in ends:
             mask[i, j] = mask[j, i] = True
+        assert case._branch_ends.tolist() == [list(e) for e in ends] and not case._branch_ends.flags.writeable
         rows, cols, values, diag = ybus._pattern
         assert np.array_equal(rows, np.nonzero(mask)[0]) and np.array_equal(cols, np.nonzero(mask)[1])
         assert values.tobytes() == ybus.matrix[mask].tobytes()

@@ -19,10 +19,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import two_bus_case
+from conftest import QUADRATIC, two_bus_case
 from ropf import powerflow
 from ropf.dispatch import DecisionVector, build_injections, decision_bounds, unity_power_factor_case
-from ropf.netmodel import Branch, Bus, Load, NetworkCase, build_admittance
+from ropf.netmodel import Branch, Bus, CaseError, Generator, Load, NetworkCase, build_admittance
 from ropf.powerflow import (
     MAX_ITERATIONS,
     TOLERANCE,
@@ -360,6 +360,23 @@ def test_total_losses_builds_no_admittance_matrix(fixture_case, monkeypatch):
 
     monkeypatch.setattr(powerflow, "build_admittance", refuse)
     assert total_losses(solution, fixture_case) == float(np.sum(solution.p_injected))
+
+
+def test_lookups_on_an_unvalidated_case_name_the_unknown_bus():
+    # Cases built in code skip validate_case, so each lookup of a bus
+    # position must still raise CaseError, not KeyError.
+    case, solution = two_bus_solution(0.5, 0.1)
+    stray_branch = dataclasses.replace(case, branches=case.branches + (Branch(2, 99, 0.0, 0.1),))
+    stray_load = dataclasses.replace(case, loads=case.loads + (Load(98, 0.1, 0.0),))
+    stray_gen = dataclasses.replace(case, generators=(Generator(97, 0.1, 0.5, -0.3, 0.3, QUADRATIC, 0.07),))
+    for call, bus in [
+        (lambda: build_admittance(stray_branch), 99),
+        (lambda: total_losses(solution, stray_branch), 99),
+        (lambda: build_injections(stray_load), 98),
+        (lambda: build_injections(stray_gen), 97),
+    ]:
+        with pytest.raises(CaseError, match=f"^unknown bus {bus}$"):
+            call()
 
 
 def test_total_losses_refuses_a_branch_model_that_disagrees_with_the_flow(fixture_case):
