@@ -365,8 +365,6 @@ def baseline_loss(
     """Reference flow before compensation: compensators off, generator buses
     voltage-held at 1.0 p.u., and its cross-checked loss. Raises
     DispatchError if it does not converge."""
-    if ybus is None:
-        ybus = build_admittance(case)
     solution = solve_power_flow(case, build_injections(case), ybus)
     if not solution.converged:
         raise DispatchError(

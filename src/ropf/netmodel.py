@@ -193,33 +193,15 @@ class NetworkCase:
 @dataclass(frozen=True, eq=False)
 class AdmittanceMatrix:
     """Dense complex bus admittance matrix (Ybus), read-only; its size is
-    len(matrix)."""
+    len(matrix). powerflow keeps the Newton Jacobian's structure for it in
+    _memo."""
 
     matrix: np.ndarray
 
     @cached_property
-    def _pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The diagonal and the nonzero entries of the matrix, row-major:
-        their rows, columns and values, and where each diagonal entry sits
-        among them."""
-        n = len(self.matrix)
-        mask = self.matrix.ravel() != 0
-        mask[:: n + 1] = True
-        flat = np.flatnonzero(mask)
-        rows, cols = np.divmod(flat, n)
-        pattern = (rows, cols, self.matrix.ravel()[flat], np.flatnonzero(rows == cols))
-        for arr in pattern:
-            arr.flags.writeable = False
-        return pattern
-
-    @cached_property
-    def _jacobian_layouts(self) -> dict:
-        """powerflow's memo of where the pattern's entries go in the Newton
-        Jacobian, one entry per bus ordering (pvpq, pq) in use, and beside
-        it the Newton solve's block order for that ordering. A solve splits
-        into blocks of breadth-first levels when there are at least
-        powerflow.MIN_BLOCKS of at least powerflow.MIN_BLOCK unknowns each;
-        otherwise it is one block, which is the dense solve."""
+    def _memo(self) -> dict:
+        """powerflow's, one entry per bus ordering in use; netmodel does not
+        read it."""
         return {}
 
 
@@ -489,11 +471,13 @@ def validate_case(case: NetworkCase) -> list[str]:
         if tap <= 0.0:
             bad.append(f"branch {f}-{t}: tap ratio must be positive, got {tap}")
         elif r or x:
-            # The Ybus terms y/a**2 and y/a; a tap whose square underflows to
+            # The Ybus terms (y + jb/2)/a**2, y + jb/2 and y/a; the second is
+            # finite when the first is, and a tap whose square underflows to
             # zero would divide by zero.
             y = 1.0 / complex(r, x)
-            a2 = tap * tap
-            finite = a2 > 0.0 and cmath.isfinite(y / a2) and cmath.isfinite(y / tap)
+            a = float(tap)
+            a2 = a * a
+            finite = a2 > 0.0 and cmath.isfinite((y + 0.5j * br.charging_susceptance) / a2) and cmath.isfinite(y / a)
             if not finite and all(map(math.isfinite, vars(br).values())):  # else reported above
                 bad.append(f"branch {f}-{t}: admittance is not finite")
 
@@ -559,7 +543,7 @@ def build_admittance(case: NetworkCase) -> AdmittanceMatrix:
             raise CaseError(f"branch {br.from_bus}-{br.to_bus}: zero impedance")
         series = 1.0 / complex(br.resistance, br.reactance)
         shunt = 0.5j * br.charging_susceptance
-        a = br.tap_ratio
+        a = float(br.tap_ratio)
         terms += ((series + shunt) / (a * a), series + shunt, -(series / a), -(series / a))
     flat = np.stack([i * (n + 1), j * (n + 1), i * n + j, j * n + i], axis=1)
     y = np.zeros(n * n, dtype=complex)

@@ -34,13 +34,16 @@ the Jacobian is block-tridiagonal over runs of consecutive levels and
 factors without fill-in outside its blocks. The runs hold at least
 MIN_BLOCK unknowns each; a network with fewer than MIN_BLOCKS of them
 (the bundled 14-bus case, and tilings of it up to 56 buses) stays one
-block in natural order, which is a plain dense solve.
+block in natural order, which is a plain dense solve. This structure
+(Ybus's pattern, where each Jacobian term goes, the block order and
+bounds) is one _Layout per bus ordering, memoized on the AdmittanceMatrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,38 +168,39 @@ def compute_mismatch(
     return p - s_calc.real, q - s_calc.imag
 
 
-def _jacobian_layout(ybus: AdmittanceMatrix, pvpq: np.ndarray, pq: np.ndarray) -> tuple:
-    """Where each Jacobian entry comes from and goes, memoized on ybus per
-    bus ordering (pvpq, pq), each listing distinct buses. Sources index the
-    float view of mismatch_jacobian's (..., 2, nnz) complex array, dS/d delta
-    then dS/d |V| at the pattern's entries; destinations are the Jacobian's
-    rows and columns."""
-    key = (pvpq.tobytes(), pq.tobytes())
-    layout = ybus._jacobian_layouts.get(key)
-    if layout is None:
-        rows, cols = ybus._pattern[:2]
-        nnz = rows.size
-        # each bus's row or column among the angle unknowns (pvpq), then
-        # the magnitude unknowns (pq); -1 where it has none
-        place = np.full((2, len(ybus.matrix)), -1)
-        place[0, pvpq] = np.arange(pvpq.size)
-        place[1, pq] = pvpq.size + np.arange(pq.size)
-        # blocks dP/d delta, dP/d |V|, dQ/d delta, dQ/d |V|: P rows read real
-        # parts and Q rows imaginary ones (+ 1), |V| columns dS/d |V| (+ 2 nnz)
-        dest_row = place[[0, 0, 1, 1]][:, rows]
-        dest_col = place[[0, 1, 0, 1]][:, cols]
-        source = 2 * np.arange(nnz) + np.array([[0], [2 * nnz], [1], [2 * nnz + 1]])
-        keep = (dest_row >= 0) & (dest_col >= 0)
-        layout = (source[keep], dest_row[keep], dest_col[keep])
-        ybus._jacobian_layouts[key] = layout
-    return layout
+class _Layout(NamedTuple):
+    """The Newton Jacobian's structure for one bus ordering (pvpq, pq), each
+    listing distinct buses; every array is read-only. Ybus's pattern: the
+    rows, columns and values of its diagonal and nonzeros, row-major, and
+    diag, the diagonal's places among them. The scatter: source indexes the
+    float view of mismatch_jacobian's (..., 2, nnz) complex array, dS/d
+    delta then dS/d |V| at the pattern, and to_row, to_col are the entries
+    they fill in natural order (angles at pvpq, then magnitudes at pq). The
+    solve order: block_row, block_col are those entries in block order,
+    order the natural index of each unknown in block order and rank the
+    inverse (both None for one block, which keeps natural order), and
+    bounds the diagonal blocks' bounds.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    diag: np.ndarray
+    source: np.ndarray
+    to_row: np.ndarray
+    to_col: np.ndarray
+    block_row: np.ndarray
+    block_col: np.ndarray
+    order: np.ndarray | None
+    rank: np.ndarray | None
+    bounds: tuple
 
 
-def _bfs_levels(ybus: AdmittanceMatrix, root: int) -> np.ndarray:
-    """Each bus's breadth-first distance from root over Ybus's pattern;
-    buses root does not reach come one level after the farthest."""
-    rows, cols = ybus._pattern[:2]
-    n = len(ybus.matrix)
+def _bfs_levels(rows: np.ndarray, cols: np.ndarray, root: int) -> np.ndarray:
+    """Each bus's breadth-first distance from root over a pattern that holds
+    the diagonal; buses root does not reach come one level after the
+    farthest."""
+    n = int(rows[-1]) + 1
     start = np.searchsorted(rows, np.arange(n + 1)).tolist()
     neighbours = cols.tolist()
     level = [-1] * n
@@ -216,41 +220,59 @@ def _bfs_levels(ybus: AdmittanceMatrix, root: int) -> np.ndarray:
     return level
 
 
-def _block_layout(ybus: AdmittanceMatrix, pvpq: np.ndarray, pq: np.ndarray) -> tuple:
-    """solve_stack's order of the unknowns, memoized beside
-    _jacobian_layout's entry: the layout's sources with destinations in
-    block order, the natural index of each unknown in block order and the
-    block order of each natural one (None and None for one block), and the
-    bounds of the diagonal blocks.
+def _layout(ybus: AdmittanceMatrix, pvpq: np.ndarray, pq: np.ndarray) -> _Layout:
+    """The _Layout of ybus for the ordering (pvpq, pq), memoized on ybus.
 
-    The unknowns (angles at pvpq, then magnitudes at pq; the bus outside
-    pvpq is the slack) are stably sorted by their bus's breadth-first level
-    from the slack, and consecutive levels are merged into blocks of at
-    least MIN_BLOCK unknowns, the last remainder joining the block before
-    it. A branch joins buses of one level or adjacent levels, so the
-    Jacobian in this order is block-tridiagonal. Fewer than MIN_BLOCKS
-    blocks leave one block in natural order.
+    The block order stably sorts the unknowns (the bus outside pvpq is the
+    slack) by their bus's breadth-first level from the slack, and merges
+    consecutive levels into blocks of at least MIN_BLOCK unknowns, the last
+    remainder joining the block before it. A branch joins buses of one level
+    or adjacent levels, so the Jacobian in this order is block-tridiagonal.
+    Fewer than MIN_BLOCKS blocks leave one block in natural order.
     """
-    key = ("blocks", pvpq.tobytes(), pq.tobytes())
-    layout = ybus._jacobian_layouts.get(key)
-    if layout is None:
-        source, dest_row, dest_col = _jacobian_layout(ybus, pvpq, pq)
-        m = pvpq.size + pq.size
-        slack = np.ones(len(ybus.matrix), dtype=bool)
-        slack[pvpq] = False
-        level = _bfs_levels(ybus, int(np.argmax(slack)))[np.concatenate([pvpq, pq])]
-        order = np.argsort(level, kind="stable")
-        bounds = [0]
-        for end in np.flatnonzero(np.diff(level[order])) + 1:
-            if end - bounds[-1] >= MIN_BLOCK and m - end >= MIN_BLOCK:
-                bounds.append(int(end))
-        bounds.append(m)
-        if len(bounds) - 1 < MIN_BLOCKS:
-            layout = (source, dest_row, dest_col, None, None, (0, m))
-        else:
-            rank = np.argsort(order)
-            layout = (source, rank[dest_row], rank[dest_col], order, rank, tuple(bounds))
-        ybus._jacobian_layouts[key] = layout
+    key = (pvpq.tobytes(), pq.tobytes())
+    layout = ybus._memo.get(key)
+    if layout is not None:
+        return layout
+    n = len(ybus.matrix)
+    mask = ybus.matrix.ravel() != 0
+    mask[:: n + 1] = True
+    flat = np.flatnonzero(mask)
+    rows, cols = np.divmod(flat, n)
+    # each bus's row or column among the angle unknowns (pvpq), then the
+    # magnitude unknowns (pq); -1 where it has none
+    place = np.full((2, n), -1)
+    place[0, pvpq] = np.arange(pvpq.size)
+    place[1, pq] = pvpq.size + np.arange(pq.size)
+    # blocks dP/d delta, dP/d |V|, dQ/d delta, dQ/d |V|: P rows read real
+    # parts and Q rows imaginary ones (+ 1), |V| columns dS/d |V| (+ 2 nnz)
+    to_row = place[[0, 0, 1, 1]][:, rows]
+    to_col = place[[0, 1, 0, 1]][:, cols]
+    source = 2 * np.arange(flat.size) + np.array([[0], [2 * flat.size], [1], [2 * flat.size + 1]])
+    keep = (to_row >= 0) & (to_col >= 0)
+    source, to_row, to_col = source[keep], to_row[keep], to_col[keep]
+
+    m = pvpq.size + pq.size
+    slack = np.ones(n, dtype=bool)
+    slack[pvpq] = False
+    level = _bfs_levels(rows, cols, int(np.argmax(slack)))[np.concatenate([pvpq, pq])]
+    order = np.argsort(level, kind="stable")
+    bounds = [0]
+    for end in np.flatnonzero(np.diff(level[order])) + 1:
+        if end - bounds[-1] >= MIN_BLOCK and m - end >= MIN_BLOCK:
+            bounds.append(int(end))
+    bounds.append(m)
+    if len(bounds) - 1 < MIN_BLOCKS:
+        order, rank, bounds, block_row, block_col = None, None, [0, m], to_row, to_col
+    else:
+        rank = np.argsort(order)
+        block_row, block_col = rank[to_row], rank[to_col]
+    values, diag = ybus.matrix.ravel()[flat], np.flatnonzero(rows == cols)
+    layout = _Layout(rows, cols, values, diag, source, to_row, to_col, block_row, block_col, order, rank, tuple(bounds))
+    for arr in layout:
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    ybus._memo[key] = layout
     return layout
 
 
@@ -284,7 +306,8 @@ def mismatch_jacobian(
     asks for its rows and columns in its block order (_blocked).
     """
     volt = np.asarray(v, float) * np.exp(1j * np.asarray(delta, float))
-    rows, cols, values, diag = ybus._pattern
+    layout = _layout(ybus, pvpq, pq)
+    rows, cols, values, diag = layout.rows, layout.cols, layout.values, layout.diag
     current_conj = np.conj(_matvec(ybus.matrix, volt))
     unit = volt / np.abs(volt)
     ds = np.empty(volt.shape[:-1] + (2, rows.size), dtype=complex)
@@ -298,12 +321,11 @@ def mismatch_jacobian(
     ds[..., 0, diag] += 1j * volt * current_conj
     ds[..., 1, diag] += current_conj * unit
 
-    layout = _block_layout if _blocked else _jacobian_layout
-    source, dest_row, dest_col = layout(ybus, pvpq, pq)[:3]
     if out is None:
         m = pvpq.size + pq.size
         out = np.zeros(volt.shape[:-1] + (m, m))
-    out[..., dest_row, dest_col] = ds.reshape(volt.shape[:-1] + (-1,)).view(float)[..., source]
+    dest_row, dest_col = (layout.block_row, layout.block_col) if _blocked else (layout.to_row, layout.to_col)
+    out[..., dest_row, dest_col] = ds.reshape(volt.shape[:-1] + (-1,)).view(float)[..., layout.source]
     return out
 
 
@@ -335,25 +357,9 @@ def _block_solve(jac: np.ndarray, rhs: np.ndarray, bounds: tuple) -> np.ndarray:
     return np.concatenate(x[::-1], axis=1)[..., 0]
 
 
-def _member_step(jac: np.ndarray, rhs: np.ndarray, bounds: tuple) -> np.ndarray:
-    """One member's step alone: by blocks, or densely when a block is
-    singular or the result is not finite, or NaN when jac is singular."""
-    try:
-        step = _block_solve(jac[None], rhs[None], bounds)[0]
-        if np.all(np.isfinite(step)):
-            return step
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return np.linalg.solve(jac, rhs)
-    except np.linalg.LinAlgError:
-        return np.full(rhs.shape, np.nan)
-
-
-def _newton_steps(jac: np.ndarray, residual: np.ndarray, blocks: tuple) -> np.ndarray:
-    """Solve each member's J dx = residual, J in the block order that
-    blocks = (order, rank, bounds) of _block_layout describes and residual
-    and dx in natural order.
+def _newton_steps(jac: np.ndarray, residual: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Solve each member's J dx = residual, J in layout's block order and
+    residual and dx in natural order.
 
     The stacked solve raises for the whole stack when one member meets a
     singular block, so it is then repeated member by member; a member whose
@@ -362,7 +368,7 @@ def _newton_steps(jac: np.ndarray, residual: np.ndarray, blocks: tuple) -> np.nd
     unaffected. One block is the dense solve already, so its non-finite
     steps stand.
     """
-    order, rank, bounds = blocks
+    order, rank, bounds = layout.order, layout.rank, layout.bounds
     rhs = residual if order is None else residual[:, order]
     try:
         steps = _block_solve(jac, rhs, bounds)
@@ -370,7 +376,16 @@ def _newton_steps(jac: np.ndarray, residual: np.ndarray, blocks: tuple) -> np.nd
     except np.linalg.LinAlgError:
         steps, retry = np.empty_like(rhs), range(len(jac))
     for k in retry:
-        steps[k] = _member_step(jac[k], rhs[k], bounds)
+        try:
+            steps[k] = _block_solve(jac[k : k + 1], rhs[k : k + 1], bounds)[0]
+            if np.all(np.isfinite(steps[k])):
+                continue
+        except np.linalg.LinAlgError:
+            pass
+        try:
+            steps[k] = np.linalg.solve(jac[k], rhs[k])
+        except np.linalg.LinAlgError:
+            steps[k] = np.nan
     return steps if rank is None else steps[:, rank]
 
 
@@ -436,7 +451,7 @@ def solve_stack(
     delta[:, slack] = 0.0
 
     k = pvpq.size
-    blocks = _block_layout(ybus, pvpq, pq)[3:]
+    layout = _layout(ybus, pvpq, pq)
     # One Jacobian buffer per call, in block order: each step rewrites only
     # the pattern's entries of its leading rows, so the rest stays zero.
     jac = np.zeros((shape[0], k + pq.size, k + pq.size))
@@ -464,7 +479,7 @@ def solve_stack(
         step_jac = mismatch_jacobian(
             v_now, delta_now, ybus, pvpq, pq, out=jac[: active.size], _blocked=True
         )
-        dx = _newton_steps(step_jac, residual, blocks)
+        dx = _newton_steps(step_jac, residual, layout)
         v_pq = v_now[:, pq] + dx[:, k:]
         usable = np.all(np.isfinite(dx), axis=1) & np.all(np.isfinite(v_pq) & (v_pq > 0), axis=1)
         if not usable.all():

@@ -11,6 +11,7 @@ clipped amount, which the clipped-case test tracks exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ import pytest
 
 from conftest import QUADRATIC, compensated_case, three_bus_case, two_bus_case
 from test_acceptance import PENALTY_OPTIMUM
+from test_powerflow import area_chain, block_count
 from ropf.costmodel import total_reactive_cost
 from ropf.netmodel import (
     Bus,
@@ -26,8 +28,9 @@ from ropf.netmodel import (
     Generator,
     Load,
     NetworkCase,
+    build_admittance,
 )
-from ropf import dispatch, pso
+from ropf import dispatch, powerflow, pso
 from ropf.powerflow import BusRole, PowerFlowSolution, solve_power_flow
 from ropf.pso import PsoParams
 from ropf.dispatch import (
@@ -432,6 +435,20 @@ def test_baseline_loss_zero_without_load():
 def test_baseline_loss_fixture_regression(fixture_case):
     _, loss = baseline_loss(fixture_case)
     assert loss == pytest.approx(0.07973114908135254, rel=1e-9)
+
+
+@pytest.mark.parametrize("network", ["bundled", "area-chain"])
+def test_baseline_loss_equals_it_given_the_admittance(fixture_case, network):
+    # Without a Ybus, solve_power_flow builds the one a caller would pass:
+    # the same bits, in one block and in level blocks.
+    case = fixture_case if network == "bundled" else area_chain(np.random.default_rng(71), 4)
+    ybus = build_admittance(case)
+    assert (block_count(ybus, build_injections(case)) >= powerflow.MIN_BLOCKS) == (network == "area-chain")
+    solution, loss = baseline_loss(case)
+    given, given_loss = baseline_loss(case, ybus=ybus)
+    for field in dataclasses.fields(PowerFlowSolution):
+        assert np.asarray(getattr(solution, field.name)).tobytes() == np.asarray(getattr(given, field.name)).tobytes()
+    assert loss.hex() == given_loss.hex()
 
 
 def test_baseline_loss_raises_when_unsolvable():

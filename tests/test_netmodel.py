@@ -223,6 +223,19 @@ def test_numpy_scalars_serialize_as_plain_numbers():
     assert parse_case(text) == case
 
 
+def test_numpy_tap_squares_without_a_warning():
+    # A numpy tap of 1e200 squares to inf; numpy would warn where a Python
+    # float does not, so both the validator and the assembly square a float.
+    def case(tap):
+        return NetworkCase(100.0, (Bus(1, "load"), Bus(2, "slack")), (Branch(1, 2, 0.0, 0.1, tap_ratio=tap),))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate_case(case(np.float64(1e200))) == []
+        ybus = build_admittance(case(np.float64(1e200)))
+    assert ybus.matrix.tobytes() == build_admittance(case(1e200)).matrix.tobytes()
+
+
 def test_validator_rejects_fractional_bus_id():
     # the writer reads bus ids with int, which would turn bus 1.5 into bus 1
     def case(bus_id):
@@ -306,14 +319,16 @@ def test_validator_reports_bad_limits():
 
 def test_validator_rejects_zero_impedance_branch():
     # A subnormal reactance or a tiny tap makes a Ybus term infinite (1e-310,
-    # 1e-160) or divides by the tap squared, which underflows to zero
-    # (1e-200). A non-finite field is reported once, as itself.
+    # 1e-160, and the charging over the tap squared) or divides by the tap
+    # squared, which underflows to zero (1e-200). A non-finite field is
+    # reported once, as itself.
     for branch, message in [
         (Branch(1, 2, 0.0, 0.0), "zero impedance"),
         (Branch(1, 2, math.nan, 0.1), "resistance must be finite, got nan"),
         (Branch(1, 2, 0.0, 1e-310), "admittance is not finite"),
         (Branch(1, 2, 0.0, 0.1, tap_ratio=1e-200), "admittance is not finite"),
         (Branch(1, 2, 0.0, 0.1, tap_ratio=1e-160), "admittance is not finite"),
+        (Branch(1, 2, 0.0, 1.0, charging_susceptance=1e300, tap_ratio=1e-10), "admittance is not finite"),
     ]:
         case = NetworkCase(
             base_mva=100.0,
@@ -513,10 +528,7 @@ def test_admittance_sums_each_entry_in_branch_order():
         for i, j in ends:
             mask[i, j] = mask[j, i] = True
         assert case._branch_ends.tolist() == [list(e) for e in ends] and not case._branch_ends.flags.writeable
-        rows, cols, values, diag = ybus._pattern
-        assert np.array_equal(rows, np.nonzero(mask)[0]) and np.array_equal(cols, np.nonzero(mask)[1])
-        assert values.tobytes() == ybus.matrix[mask].tobytes()
-        assert np.array_equal(diag, np.flatnonzero(rows == cols)) and diag.size == case.n
+        assert np.array_equal((ybus.matrix != 0) | np.eye(case.n, dtype=bool), mask)
 
 
 def test_cost_quadratic_evaluates():

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -645,10 +646,55 @@ def random_flow_spec(rng, case, members=None):
     return make_spec(p, q, roles, v_setpoint=rng.uniform(0.98, 1.02, n))
 
 
-def block_count(ybus, spec):
+def orderings(spec):
+    """solve_stack's bus ordering (pvpq, pq) of a spec's roles."""
     pq = np.flatnonzero(spec.roles == PQ)
-    pvpq = np.concatenate([np.flatnonzero(spec.roles == PV), pq])
-    return len(powerflow._block_layout(ybus, pvpq, pq)[-1]) - 1
+    return np.concatenate([np.flatnonzero(spec.roles == PV), pq]), pq
+
+
+def block_count(ybus, spec):
+    return len(powerflow._layout(ybus, *orderings(spec)).bounds) - 1
+
+
+@pytest.mark.parametrize("network", ["bundled", "area-chain", "random"])
+def test_layout_is_one_read_only_entry_per_ordering(fixture_case, network):
+    # solve_stack and mismatch_jacobian share one entry per bus ordering,
+    # whose pattern is Ybus's nonzeros plus its diagonal, row-major.
+    rng = np.random.default_rng(61)
+    case = fixture_case
+    if network != "bundled":
+        case = area_chain(rng, 4) if network == "area-chain" else random_connected_case(rng, 30)
+    spec = random_flow_spec(rng, case)
+    pvpq, pq = orderings(spec)
+    ybus = build_admittance(case)
+    solve_stack(spec, ybus)
+    mismatch_jacobian(np.ones(case.n), np.zeros(case.n), ybus, pvpq, pq)
+    assert list(ybus._memo) == [(pvpq.tobytes(), pq.tobytes())]
+    layout = ybus._memo[pvpq.tobytes(), pq.tobytes()]
+    assert not any(value.flags.writeable for value in layout if isinstance(value, np.ndarray))
+
+    mask = (ybus.matrix != 0) | np.eye(case.n, dtype=bool)
+    assert np.array_equal(layout.rows, np.nonzero(mask)[0]) and np.array_equal(layout.cols, np.nonzero(mask)[1])
+    assert layout.values.tobytes() == ybus.matrix[mask].tobytes()
+    assert np.array_equal(layout.diag, np.flatnonzero(layout.rows == layout.cols)) and layout.diag.size == case.n
+
+
+def test_layout_block_order_permutes_the_natural_one(fixture_case):
+    # One block keeps natural order; a split network's block destinations
+    # are its natural ones under rank, the inverse of order.
+    rng = np.random.default_rng(61)
+    pvpq, pq = orderings(random_flow_spec(rng, fixture_case))
+    layout = powerflow._layout(build_admittance(fixture_case), pvpq, pq)
+    assert layout.order is None and layout.rank is None and layout.bounds == (0, pvpq.size + pq.size)
+    assert layout.block_row is layout.to_row and layout.block_col is layout.to_col
+
+    case = area_chain(rng, 4)
+    pvpq, pq = orderings(random_flow_spec(rng, case))
+    layout = powerflow._layout(build_admittance(case), pvpq, pq)
+    assert len(layout.bounds) - 1 >= powerflow.MIN_BLOCKS
+    assert np.array_equal(layout.order[layout.rank], np.arange(pvpq.size + pq.size))
+    assert np.array_equal(layout.block_row, layout.rank[layout.to_row])
+    assert np.array_equal(layout.block_col, layout.rank[layout.to_col])
 
 
 def test_block_solve_converges_like_the_dense_solve(monkeypatch):
@@ -704,7 +750,7 @@ def test_block_solved_stack_members_equal_lone_solves_bitwise():
             assert bits(getattr(alone, name)[0]) == bits(getattr(flows, name)[k])
 
 
-def dense_newton_steps(jac, residual, blocks):
+def dense_newton_steps(jac, residual, layout):
     """Reference: one stacked LAPACK solve of the whole Jacobian, repeated
     member by member when one is singular, which then gets a NaN step."""
     try:
@@ -725,8 +771,8 @@ def test_bundled_case_is_one_block_and_solves_densely(fixture_case, monkeypatch,
     spec = per_member_stack(fixture_case) if stack == "per-member" else stack_of(box_specs(fixture_case, 200, seed=23))
     pq = np.flatnonzero(spec.roles == PQ)
     pvpq = np.concatenate([np.flatnonzero(spec.roles == PV), pq])
-    layout = powerflow._block_layout(ybus, pvpq, pq)
-    assert layout[3:] == (None, None, (0, pvpq.size + pq.size))
+    layout = powerflow._layout(ybus, pvpq, pq)
+    assert (layout.order, layout.rank, layout.bounds) == (None, None, (0, pvpq.size + pq.size))
     flows = solve_stack(spec, ybus)
     monkeypatch.setattr(powerflow, "_newton_steps", dense_newton_steps)
     reference = solve_stack(spec, ybus)
@@ -750,20 +796,20 @@ def test_singular_block_falls_back_to_the_dense_solve():
     jac[1, :2, :2] = [[1.0, 0.0], [0.0, 1e-310]]
     jac[3, 5] = 0.0
     residual = rng.uniform(-1.0, 1.0, size=(4, 8))
-    blocks = (None, None, bounds)
+    layout = SimpleNamespace(order=None, rank=None, bounds=bounds)
 
     with pytest.raises(np.linalg.LinAlgError):
         powerflow._block_solve(jac[:1], residual[:1], bounds)
     assert not np.all(np.isfinite(powerflow._block_solve(jac[1:2], residual[1:2], bounds)))
     assert np.linalg.matrix_rank(jac[3]) == 7
 
-    steps = powerflow._newton_steps(jac, residual, blocks)
+    steps = powerflow._newton_steps(jac, residual, layout)
     for k in (0, 1):
         assert np.array_equal(steps[k], np.linalg.solve(jac[k], residual[k]))
-    assert np.array_equal(steps[2], powerflow._newton_steps(jac[2:3], residual[2:3], blocks)[0])
+    assert np.array_equal(steps[2], powerflow._newton_steps(jac[2:3], residual[2:3], layout)[0])
     assert np.max(np.abs(steps[2] - np.linalg.solve(jac[2], residual[2]))) <= 1e-12
     assert np.all(np.isnan(steps[3]))
     # without the singular members the stacked block solve returns, and
     # only its non-finite member is solved again
-    pair = powerflow._newton_steps(jac[1:3], residual[1:3], blocks)
+    pair = powerflow._newton_steps(jac[1:3], residual[1:3], layout)
     assert np.array_equal(pair, steps[1:3])
