@@ -679,15 +679,10 @@ def test_layout_is_one_read_only_entry_per_ordering(fixture_case, network):
     assert np.array_equal(layout.diag, np.flatnonzero(layout.rows == layout.cols)) and layout.diag.size == case.n
 
 
-def test_layout_block_order_permutes_the_natural_one(fixture_case):
-    # One block keeps natural order; a split network's block destinations
-    # are its natural ones under rank, the inverse of order.
+def test_layout_block_order_permutes_the_natural_one():
+    # A split network's block destinations are its natural ones under rank,
+    # the inverse of order.
     rng = np.random.default_rng(61)
-    pvpq, pq = orderings(random_flow_spec(rng, fixture_case))
-    layout = powerflow._layout(build_admittance(fixture_case), pvpq, pq)
-    assert layout.order is None and layout.rank is None and layout.bounds == (0, pvpq.size + pq.size)
-    assert layout.block_row is layout.to_row and layout.block_col is layout.to_col
-
     case = area_chain(rng, 4)
     pvpq, pq = orderings(random_flow_spec(rng, case))
     layout = powerflow._layout(build_admittance(case), pvpq, pq)
@@ -769,10 +764,10 @@ def dense_newton_steps(jac, residual, layout):
 def test_bundled_case_is_one_block_and_solves_densely(fixture_case, monkeypatch, stack):
     ybus = build_admittance(fixture_case)
     spec = per_member_stack(fixture_case) if stack == "per-member" else stack_of(box_specs(fixture_case, 200, seed=23))
-    pq = np.flatnonzero(spec.roles == PQ)
-    pvpq = np.concatenate([np.flatnonzero(spec.roles == PV), pq])
+    pvpq, pq = orderings(spec)
     layout = powerflow._layout(ybus, pvpq, pq)
     assert (layout.order, layout.rank, layout.bounds) == (None, None, (0, pvpq.size + pq.size))
+    assert layout.block_row is layout.to_row and layout.block_col is layout.to_col
     flows = solve_stack(spec, ybus)
     monkeypatch.setattr(powerflow, "_newton_steps", dense_newton_steps)
     reference = solve_stack(spec, ybus)
